@@ -29,9 +29,10 @@ from typing import Any
 
 import numpy as np
 
-from .belief import Belief, entropy, info_gain_entropy, posterior_update
-from .ca import Tape, step_bits
-from .env import Action, TaskSpec, Transition, intervene_bits, match_fraction
+# info_gain_entropy is not called here; perfbench/tracer.py looks it up in this module.
+from .belief import Belief, entropy, info_gain_entropy, info_gain_sweep, posterior_update  # noqa: F401
+from .ca import Tape, as_words, popcount, step_bits
+from .env import Action, TaskSpec, Transition
 from .errors import ConfigError, InconsistentObservationError
 from .seeding import make_rng
 
@@ -169,7 +170,10 @@ def plan_mpc(
     positive-weight rules when there are at most ``mixture_rules`` of them (or
     ``exact_mixture`` is set and the support is small); otherwise under a
     without-replacement weighted sample of ``mixture_rules`` rules, with the
-    sampled weights renormalized.
+    sampled weights renormalized. One call steps sequences x evaluated rules x
+    horizon rollouts, all (rule, sequence) pairs at once per horizon step.
+    A sequence scores the weighted sum over rules of its per-step match
+    fractions; the best score wins, ties to the lowest first action.
     """
     length = state.length
     n_actions = length + 1
@@ -184,46 +188,35 @@ def plan_mpc(
         p = weights[positive] / weights[positive].sum()
         picked = rng.choice(len(positive), size=cfg.mixture_rules, replace=False, p=p)
         chosen = [positive[int(i)] for i in picked]
-    eval_rules = [rules[i] for i in chosen]
+    eval_rules = as_words([rules[i] for i in chosen], length)
     eval_weights = weights[chosen] / weights[chosen].sum()
 
     total_sequences = n_actions**cfg.plan_horizon
     if cfg.rollout_budget >= total_sequences:
-        sequences = itertools.product(range(n_actions), repeat=cfg.plan_horizon)
+        sequences = np.array(list(itertools.product(range(n_actions), repeat=cfg.plan_horizon)))
     else:
-        sequences = rng.integers(0, n_actions, size=(cfg.rollout_budget, cfg.plan_horizon)).tolist()
+        sequences = rng.integers(0, n_actions, size=(cfg.rollout_budget, cfg.plan_horizon))
 
-    target_bits = target.bits
-    best_score = -np.inf
-    best_first = n_actions  # no_op sorts last
-    for seq in sequences:
-        score = 0.0
-        for rule, w in zip(eval_rules, eval_weights):
-            bits = state.bits
-            acc = 0.0
-            for a in seq:
-                bits = step_bits(intervene_bits(bits, length, a), length, rule)
-                acc += match_fraction(bits, target_bits, length)
-            score += w * acc
-        first = seq[0]
-        if first_action_bonus is not None:
-            score += first_action_bonus.get(first, 0.0)
-        if score > best_score or (score == best_score and first < best_first):
-            best_score = score
-            best_first = first
+    flips = as_words([1 << i for i in range(length)] + [0], length)  # by action order index; no_op flips nothing
+    bits = np.full((len(eval_rules), len(sequences)), state.bits, dtype=eval_rules.dtype)
+    acc = np.zeros(bits.shape)
+    for t in range(cfg.plan_horizon):
+        bits = step_bits(bits ^ flips[sequences[:, t]], length, eval_rules[:, None])
+        acc += (length - popcount(bits ^ target.bits)) / length
+    score = np.zeros(len(sequences))
+    for w, rule_acc in zip(eval_weights, acc):  # rule by rule, the summation order of one rollout at a time
+        score += w * rule_acc
+    first = sequences[:, 0]
+    if first_action_bonus is not None:
+        score += np.array([first_action_bonus.get(i, 0.0) for i in range(n_actions)])[first]
+    best_first = int(first[score == score.max()].min())
     return Action.from_order_index(best_first, length)
 
 
 def max_ig_action(belief: Belief, state: Tape) -> Action:
     """The one-step action with maximal information gain; ties to the lowest index."""
-    best_gain = -np.inf
-    best = 0
-    for i in range(state.length + 1):
-        gain = info_gain_entropy(belief, state, Action.from_order_index(i, state.length))
-        if gain > best_gain:
-            best_gain = gain
-            best = i
-    return Action.from_order_index(best, state.length)
+    gains = info_gain_sweep(belief, state)
+    return Action.from_order_index(gains.index(max(gains)), state.length)
 
 
 class RandomAgent(Agent):
@@ -279,10 +272,7 @@ class BeliefMpcAgent(Agent):
     def act(self, obs: Tape) -> Action:
         bonus = None
         if self.cfg.kind == "belief_mpc_ig" and self.cfg.ig_weight > 0.0:
-            bonus = {
-                i: self.cfg.ig_weight * info_gain_entropy(self.belief, obs, Action.from_order_index(i, obs.length))
-                for i in range(obs.length + 1)
-            }
+            bonus = {i: self.cfg.ig_weight * gain for i, gain in enumerate(info_gain_sweep(self.belief, obs))}
         return plan_mpc(self.belief.support, self.belief.probs, obs, self._target, self.cfg, self._rng, bonus)
 
     def observe(self, state: Tape, action: Action, reward: float, next_state: Tape, done: bool) -> None:

@@ -39,6 +39,7 @@ __all__ = [
     "info_gain_entropy",
     "info_gain_kl",
     "info_gain_mi",
+    "info_gain_sweep",
     "posterior_update",
     "predictive",
 ]
@@ -112,18 +113,19 @@ def _prediction_bits(state: Tape, action: Action, rule: int) -> int:
     return ca.step_bits(intervene(state, action).bits, state.length, rule)
 
 
+def _predict(rules, inputs, length: int) -> np.ndarray:
+    """Next tapes of every rule (rows) from every input tape (columns), in one kernel call."""
+    return ca.step_bits(ca.as_words(inputs, length)[None, :], length, ca.as_words(rules, length)[:, None])
+
+
 def posterior_update(belief: Belief, t: Transition) -> Belief:
     """Condition on one observed transition; support order is preserved.
 
     Raises :class:`InconsistentObservationError` when no supported rule
     predicts the observed next state.
     """
-    observed = t.next_state.bits
-    likelihood = np.fromiter(
-        (1.0 if _prediction_bits(t.state, t.action, z) == observed else 0.0 for z in belief.support),
-        dtype=float,
-        count=len(belief.support),
-    )
+    predicted = _predict(belief.support, [intervene(t.state, t.action).bits], t.state.length)[:, 0]
+    likelihood = (predicted == t.next_state.bits).astype(float)
     unnormalized = belief.probs * likelihood
     total = float(unnormalized.sum())
     if total <= 0.0:
@@ -145,18 +147,13 @@ def _entropy_bits(probs: np.ndarray) -> float:
 
 def predictive(belief: Belief, s: Tape, a: Action) -> PredictiveDistribution:
     """Belief-weighted distribution over the next tape; zero-mass outcomes are dropped."""
+    alive = np.flatnonzero(belief.probs > 0.0)
+    predicted = _predict([belief.support[i] for i in alive], [intervene(s, a).bits], s.length)[:, 0]
     mass: dict[int, float] = {}
-    order: list[int] = []
-    for z, p in zip(belief.support, belief.probs):
-        if p <= 0.0:
-            continue
-        bits = _prediction_bits(s, a, z)
-        if bits not in mass:
-            mass[bits] = 0.0
-            order.append(bits)
-        mass[bits] += float(p)
-    outcomes = tuple(Tape(bits, s.length) for bits in order)
-    return PredictiveDistribution(outcomes, np.array([mass[b] for b in order]))
+    for bits, p in zip(predicted.tolist(), belief.probs[alive].tolist()):
+        mass[bits] = mass.get(bits, 0.0) + p
+    outcomes = tuple(Tape(bits, s.length) for bits in mass)
+    return PredictiveDistribution(outcomes, np.array(list(mass.values())))
 
 
 def _outcome_posteriors(belief: Belief, s: Tape, a: Action):
@@ -185,6 +182,35 @@ def info_gain_entropy(belief: Belief, s: Tape, a: Action) -> float:
         mass * _entropy_bits(post) for mass, post in _outcome_posteriors(belief, s, a)
     )
     return entropy(belief) - expected_posterior_entropy
+
+
+def info_gain_sweep(belief: Belief, s: Tape) -> list[float]:
+    """Information gain of every action at ``s``, indexed by action order.
+
+    One kernel call predicts every (rule, action) pair; each value then
+    repeats :func:`info_gain_entropy`'s grouping and summation order, so it
+    is equal to that function's result, not merely close to it. There, an
+    outcome only one rule predicts has a delta posterior and adds exactly
+    ``mass * -0.0``, which leaves the sum unchanged; the sweep skips it.
+    """
+    length = s.length
+    alive = np.flatnonzero(belief.probs > 0.0).tolist()
+    inputs = [s.bits ^ (1 << i) for i in range(length)] + [s.bits]  # flip(0) .. flip(L-1), no_op
+    predicted = _predict([belief.support[i] for i in alive], inputs, length)
+    prior_entropy = entropy(belief)
+    gains = []
+    for column in predicted.T.tolist():
+        groups: dict[int, list[int]] = {}
+        for idx, bits in zip(alive, column):
+            groups.setdefault(bits, []).append(idx)
+        expected_posterior_entropy = 0
+        for idxs in groups.values():
+            if len(idxs) == 1:
+                continue
+            mass = float(belief.probs[idxs].sum())
+            expected_posterior_entropy += mass * _entropy_bits((belief.probs[idxs] / mass).tolist())
+        gains.append(prior_entropy - expected_posterior_entropy)
+    return gains
 
 
 def info_gain_mi(belief: Belief, s: Tape, a: Action) -> float:

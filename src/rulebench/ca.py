@@ -7,10 +7,12 @@ vectors; cell 0 is the leftmost cell and neighborhoods are read
 ``(left, center, right)``. The default boundary is periodic (wrap-around);
 ``boundary="fixed_zero"`` treats both out-of-range neighbors as 0.
 
-Tapes are stored as plain integers (cell ``i`` is bit ``i``), which keeps
-single steps and equality checks cheap enough for exhaustive enumeration and
-for the planners' rollout loops. All functions here are pure; ``Tape`` values
-are immutable and hashable.
+Tapes are stored as plain integers (cell ``i`` is bit ``i``). One step is a
+bit-parallel expression over the tape word and its two rotations, so the
+same code steps a single Python-int tape or numpy arrays of tapes and rules
+broadcast against each other (see :func:`as_words`); the planners and the
+belief layer step every rollout or hypothesis in one call. All functions
+here are pure; ``Tape`` values are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -18,15 +20,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DomainError
 
 __all__ = [
     "BOUNDARIES",
     "MIN_LENGTH",
     "Tape",
+    "as_words",
     "decode_rule",
     "encode_rule",
     "enumerate_orbit",
+    "popcount",
     "step",
     "step_bits",
 ]
@@ -98,25 +104,52 @@ class Tape:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
 
 
-@lru_cache(maxsize=1 << 20)
-def step_bits(bits: int, length: int, rule: int, boundary: str = "periodic") -> int:
-    """One synchronous update of a bit-packed tape. Cached: dynamics are a pure lookup."""
-    table = decode_rule(rule)
-    if boundary not in BOUNDARIES:
+def step_bits(bits, length: int, rule, boundary: str = "periodic"):
+    """One synchronous update of bit-packed tapes; uncached and bit-parallel.
+
+    ``bits`` and ``rule`` are Python ints, or arrays from :func:`as_words`
+    that broadcast against each other (say rollouts along one axis and rules
+    along the other). The update is the OR of the 8 neighborhood minterms,
+    each masked by its rule bit, computed on whole words: the tape and its
+    two neighbor rotations.
+    """
+    if isinstance(rule, int):
+        decode_rule(rule)  # range check
+    if boundary == "periodic":
+        left = (bits << 1) | (bits >> (length - 1))
+        right = (bits >> 1) | ((bits & 1) << (length - 1))
+    elif boundary == "fixed_zero":
+        left, right = bits << 1, bits >> 1
+    else:
         raise DomainError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
-    out = 0
-    last = length - 1
-    for i in range(length):
-        c = (bits >> i) & 1
-        if boundary == "periodic":
-            l = (bits >> (last if i == 0 else i - 1)) & 1
-            r = (bits >> (0 if i == last else i + 1)) & 1
-        else:
-            l = 0 if i == 0 else (bits >> (i - 1)) & 1
-            r = 0 if i == last else (bits >> (i + 1)) & 1
-        if table[(l << 2) | (c << 1) | r]:
-            out |= 1 << i
-    return out
+    # Rule bit k as an all-ones or all-zeros word: the mask of minterm k = 4*left + 2*center + right.
+    m0, m1, m2, m3, m4, m5, m6, m7 = [-((rule >> k) & 1) for k in range(8)]
+    # The masked minterms summed one neighbor at a time (Shannon expansion):
+    # x ^ ((x ^ y) & w) takes y's bit where w is set and x's where it is clear;
+    # lcXY is the output where (left, center) = (X, Y), lX where left = X.
+    lc00 = m0 ^ ((m0 ^ m1) & right)
+    lc01 = m2 ^ ((m2 ^ m3) & right)
+    lc10 = m4 ^ ((m4 ^ m5) & right)
+    lc11 = m6 ^ ((m6 ^ m7) & right)
+    l0 = lc00 ^ ((lc00 ^ lc01) & bits)
+    l1 = lc10 ^ ((lc10 ^ lc11) & bits)
+    return (l0 ^ ((l0 ^ l1) & left)) & ((1 << length) - 1)
+
+
+def as_words(values, length: int) -> np.ndarray:
+    """Tapes (or rules) of ``length`` cells as an array :func:`step_bits` broadcasts over.
+
+    ``uint64`` holds up to 64 cells; longer tapes stay Python ints in an
+    ``object`` array, which the same expressions step more slowly.
+    """
+    return np.array(values, dtype=np.uint64 if length <= 64 else object)
+
+
+def popcount(words: np.ndarray) -> np.ndarray:
+    """Number of set cells of each tape in an :func:`as_words` array."""
+    if words.dtype == object:
+        return np.array([w.bit_count() for w in words.flat], dtype=np.int64).reshape(words.shape)
+    return np.bitwise_count(words)
 
 
 def step(tape: Tape, rule: int, boundary: str = "periodic") -> Tape:

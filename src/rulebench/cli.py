@@ -36,7 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute an experiment config")
     run_p.add_argument("config", type=Path)
     run_p.add_argument("--output-dir", type=Path, default=None)
-    run_p.add_argument("--parallelism", type=int, default=None)
+    run_p.add_argument("--parallelism", type=int, default=None,
+                       help="accepted and validated (>= 1) for existing configs; runs are serial, so it has no effect")
     run_p.add_argument("--split-manifest", type=Path, default=None,
                        help="run against a previously generated split manifest instead of regenerating")
 
@@ -89,7 +90,11 @@ def _cmd_verify_theory(args) -> int:
 
 
 def _cmd_verify_split(args) -> int:
-    split = load_split_manifest(args.manifest)
+    try:
+        split = load_split_manifest(args.manifest)
+    except ConfigError as exc:  # a manifest its own spec does not generate
+        print(f"violation: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     report = verify_split(split.train_tasks, split.test_tasks, split.spec)
     if report.ok:
         print(f"split manifest {args.manifest} is valid "
@@ -124,7 +129,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, DomainError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (ConfigError, DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # runtime failure distinct from bad input

@@ -29,7 +29,6 @@ __all__ = [
     "Transition",
     "env_step",
     "intervene",
-    "intervene_bits",
     "make_target",
     "match_fraction",
     "reset",
@@ -181,13 +180,6 @@ class EpisodeResult:
             transitions=tuple(Transition.from_json(t) for t in data["transitions"]),
             episode_seed=data["episode_seed"],
         )
-
-
-def intervene_bits(bits: int, length: int, order_index: int) -> int:
-    """Bit-level intervention on a packed tape; ``order_index == length`` is no_op."""
-    if order_index == length:
-        return bits
-    return bits ^ (1 << order_index)
 
 
 def intervene(state: Tape, action: Action) -> Tape:

@@ -1,14 +1,17 @@
-"""Experiment orchestration: seeded parallel runs, logs, reports, theory checks.
+"""Experiment orchestration: seeded serial runs, logs, reports, theory checks.
 
 A run executes every (agent, test task, episode) cell of its config. Cell
 seeds are ``derive_seed(base_seed, agent_name, task_index, episode_index)``,
-so adding an agent or extending a run never perturbs existing cells. Cells
-are independent work units except for agents that learn across episodes
-(e.g. tabular Q), whose cells execute sequentially in canonical order inside
-one worker; consequently the finalized, canonically sorted logs are
-byte-identical at any parallelism level.
+so adding an agent or extending a run never perturbs existing cells. Each
+agent config gets one instance, which plays its cells in canonical order;
+agents that learn across episodes (``stateful_across_episodes``, e.g.
+tabular Q) rely on that order, the others reset in ``begin_episode``. Runs are serial: the work is CPU-bound
+Python and numpy, so a thread pool only contends for the interpreter lock.
+``parallelism`` is still accepted and validated, and has no effect; the
+finalized, canonically sorted logs are byte-identical at any value.
 
-Outputs per run directory:
+Outputs per run directory, each written to a temporary file beside it and
+renamed into place, so a failed run leaves the previous file or none:
 
 * ``episodes.jsonl`` — one JSON record per episode (the episode's fields plus
   its ``task_index``/``episode_index`` coordinates), sorted by
@@ -24,7 +27,7 @@ protocols take away from them.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -35,7 +38,7 @@ from .agents import AgentConfig, make_agent
 from .belief import Belief, entropy, info_gain_entropy, info_gain_kl, info_gain_mi
 from .ca import Tape
 from .env import Action, run_episode
-from .errors import AgentError, ConfigError
+from .errors import AgentError, ConfigError, check_keys
 from .seeding import derive_seed, make_rng
 from .splits import Split, SplitSpec, make_split, split_manifest, verify_split
 from .stats import Interval, SummaryStats, ci_normal, drop_ci, summarize
@@ -93,15 +96,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "ExperimentConfig":
-        return cls(
-            name=data["name"],
+        """Parse a config; unknown or missing keys are errors that name their path."""
+        check_keys(cls, data, "")
+        return cls(**dict(
+            data,
             split=SplitSpec.from_json(data["split"]),
             agents=tuple(AgentConfig.from_json(a) for a in data["agents"]),
-            episodes_per_task=data["episodes_per_task"],
-            base_seed=data["base_seed"],
-            output_dir=data["output_dir"],
-            parallelism=data.get("parallelism", 1),
-        )
+        ))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -163,6 +164,22 @@ def _execute_cells(agent_cfg: AgentConfig, cells, tasks, base_seed: int, hypothe
     return out
 
 
+def _write_atomic(path: Path, chunks) -> None:
+    """Write ``chunks`` to a temporary file beside ``path``, then rename it over ``path``.
+
+    A failure while writing removes the temporary file, so ``path`` keeps its
+    previous content (or stays absent) instead of holding a partial file.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def run_experiment(config: ExperimentConfig, split: Split | None = None, output_dir=None) -> RunManifest:
     """Execute all cells, write sorted logs plus manifest, return the manifest.
 
@@ -178,31 +195,11 @@ def run_experiment(config: ExperimentConfig, split: Split | None = None, output_
         raise ConfigError("split verification failed: " + "; ".join(report.violations))
 
     tasks = split.test_tasks
-    all_cells = [(ti, ei) for ti in range(len(tasks)) for ei in range(config.episodes_per_task)]
-
-    # Learning agents keep state across episodes, so all their cells form one
-    # sequential unit; everything else parallelizes per cell.
-    units = []
-    for agent_cfg in config.agents:
-        probe = make_agent(agent_cfg, split.train_rules)
-        stateful = probe.stateful_across_episodes
-        probe.close()
-        if stateful:
-            units.append((agent_cfg, all_cells))
-        else:
-            units.extend((agent_cfg, [cell]) for cell in all_cells)
-
-    outcomes = []
-    if config.parallelism == 1:
-        for agent_cfg, cells in units:
-            outcomes.append((agent_cfg.agent_name, _execute_cells(agent_cfg, cells, tasks, config.base_seed, split.train_rules)))
-    else:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            futures = [
-                (agent_cfg.agent_name, pool.submit(_execute_cells, agent_cfg, cells, tasks, config.base_seed, split.train_rules))
-                for agent_cfg, cells in units
-            ]
-            outcomes = [(name, future.result()) for name, future in futures]
+    cells = [(ti, ei) for ti in range(len(tasks)) for ei in range(config.episodes_per_task)]
+    outcomes = [
+        (agent_cfg.agent_name, _execute_cells(agent_cfg, cells, tasks, config.base_seed, split.train_rules))
+        for agent_cfg in config.agents
+    ]
 
     records = []
     seed_table = []
@@ -232,10 +229,9 @@ def run_experiment(config: ExperimentConfig, split: Split | None = None, output_
 
     out_dir = Path(output_dir if output_dir is not None else config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / EPISODE_LOG).open("w") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-    (out_dir / MANIFEST_FILE).write_text(json.dumps(manifest.to_json(), indent=2, sort_keys=True) + "\n")
+    _write_atomic(out_dir / EPISODE_LOG,
+                  (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n" for record in records))
+    _write_atomic(out_dir / MANIFEST_FILE, [json.dumps(manifest.to_json(), indent=2, sort_keys=True) + "\n"])
     return manifest
 
 

@@ -25,7 +25,7 @@ from typing import Any
 
 from . import ca
 from .env import TaskSpec, make_target
-from .errors import ConfigError
+from .errors import ConfigError, check_keys
 from .seeding import derive_seed, make_rng
 
 __all__ = [
@@ -95,18 +95,14 @@ class SplitSpec:
         }
 
     @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "SplitSpec":
-        return cls(
-            protocol=data["protocol"],
-            candidate_rules=tuple(data.get("candidate_rules", range(256))),
-            split_seed=data["split_seed"],
-            n_train_tasks=data["n_train_tasks"],
-            n_test_tasks=data["n_test_tasks"],
-            train_fraction=data.get("train_fraction", 0.5),
-            train_lengths=tuple(data.get("train_lengths", (16,))),
-            test_lengths=tuple(data.get("test_lengths", (16,))),
-            horizon=data.get("horizon", 32),
-        )
+    def from_json(cls, data: dict[str, Any], path: str = "split") -> "SplitSpec":
+        """Parse a spec; unknown or missing keys are errors that name ``path.key``."""
+        check_keys(cls, data, path)
+        kwargs = dict(data)
+        for key in ("candidate_rules", "train_lengths", "test_lengths"):
+            if key in kwargs:
+                kwargs[key] = tuple(kwargs[key])
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -208,13 +204,23 @@ def split_manifest(split: Split) -> dict[str, Any]:
 
 
 def split_from_manifest(data: dict[str, Any]) -> Split:
-    return Split(
-        spec=SplitSpec.from_json(data["spec"]),
-        train_rules=tuple(data["train_rules"]),
-        test_rules=tuple(data["test_rules"]),
-        train_tasks=tuple(TaskSpec.from_json(t) for t in data["train_tasks"]),
-        test_tasks=tuple(TaskSpec.from_json(t) for t in data["test_tasks"]),
-    )
+    """The split a manifest records, refused unless its own spec generates exactly it.
+
+    Splits are pure in their spec, so the split is regenerated from ``spec``
+    and every other manifest field must equal the regenerated one. That keeps
+    a manifest from leaking test rules into ``train_rules`` (the belief
+    agents' world model) or altering a task. The error names the first field
+    that differs.
+    """
+    if not isinstance(data, dict) or "spec" not in data:
+        raise ConfigError("split verification failed: a split manifest is a JSON object with a 'spec'")
+    split = make_split(SplitSpec.from_json(data["spec"], path="spec"))
+    expected = split_manifest(split)
+    for field in [*expected, *data]:
+        if field != "spec" and data.get(field) != expected.get(field):
+            raise ConfigError(f"split verification failed: manifest field {field!r} differs "
+                              f"from the split its spec generates")
+    return split
 
 
 def save_split_manifest(split: Split, path) -> None:

@@ -8,7 +8,10 @@ and obvious.
 
 from __future__ import annotations
 
+import itertools
 import math
+
+import numpy as np
 
 
 def brute_decode(rule: int) -> list[int]:
@@ -104,3 +107,44 @@ def brute_expected_reward(support, probs, cells, action_index, target_cells) -> 
         matches = sum(1 for a, b in zip(nxt, target_cells) if a == b)
         total += p * matches / n
     return total
+
+
+def reference_plan(rules, weights, cells, target_cells, rng, plan_horizon, rollout_budget,
+                   mixture_rules=8, exact_mixture=False, bonus=None, exact_mixture_limit=16) -> int:
+    """Random-shooting MPC one rollout step at a time; returns the first action's order index.
+
+    The planner's scalar reference: it draws from ``rng`` with the same calls
+    and shapes as ``rulebench.agents.plan_mpc``, adds each step's match
+    fraction in rollout order, weights rules in evaluation order, and breaks
+    score ties to the lowest first action (``len(cells)`` is no-op).
+    """
+    n = len(cells)
+    n_actions = n + 1
+    weights = np.asarray(weights, dtype=float)
+    positive = [i for i in range(len(rules)) if weights[i] > 0.0]
+    if len(positive) <= mixture_rules or (exact_mixture and len(positive) <= exact_mixture_limit):
+        chosen = positive
+    else:
+        p = weights[positive] / weights[positive].sum()
+        picked = rng.choice(len(positive), size=mixture_rules, replace=False, p=p)
+        chosen = [positive[int(i)] for i in picked]
+    chosen_weights = weights[chosen] / weights[chosen].sum()
+    if rollout_budget >= n_actions**plan_horizon:
+        sequences = itertools.product(range(n_actions), repeat=plan_horizon)
+    else:
+        sequences = rng.integers(0, n_actions, size=(rollout_budget, plan_horizon)).tolist()
+
+    best_score, best_first = -math.inf, n_actions
+    for seq in sequences:
+        score = 0.0
+        for i, w in zip(chosen, chosen_weights):
+            state, acc = list(cells), 0.0
+            for a in seq:
+                state = brute_step(brute_intervene(state, a), rules[i])
+                acc += sum(1 for x, y in zip(state, target_cells) if x == y) / n
+            score += w * acc
+        if bonus is not None:
+            score += bonus.get(seq[0], 0.0)
+        if score > best_score or (score == best_score and seq[0] < best_first):
+            best_score, best_first = score, seq[0]
+    return best_first

@@ -27,7 +27,7 @@ from rulebench.agents import (
 from rulebench.harness import cell_seed
 from rulebench.seeding import make_rng
 
-from oracles import brute_expected_reward, brute_info_gain
+from oracles import brute_expected_reward, brute_info_gain, reference_plan
 
 
 def tape(text: str) -> Tape:
@@ -86,6 +86,54 @@ class TestPlanMpc:
         cfg = AgentConfig(kind="belief_mpc", plan_horizon=6, rollout_budget=32)
         args = ((90, 110, 204), np.array([0.2, 0.3, 0.5]), tape("010011"), tape("111000"), cfg)
         assert plan_mpc(*args, make_rng(5)) == plan_mpc(*args, make_rng(5))
+
+
+class TestPlanMatchesScalarReference:
+    """The batched planner picks the scalar reference's action from the same random draws."""
+
+    def check(self, rules, weights, length, cfg, seed, bonus=None):
+        rng = np.random.default_rng(seed)
+        state = [int(b) for b in rng.integers(0, 2, size=length)]
+        target = [int(b) for b in rng.integers(0, 2, size=length)]
+        ours, theirs = make_rng(seed, "plan"), make_rng(seed, "plan")
+        action = plan_mpc(rules, weights, Tape.from_cells(state), Tape.from_cells(target), cfg, ours, bonus)
+        expected = reference_plan(rules, weights, state, target, theirs, cfg.plan_horizon, cfg.rollout_budget,
+                                  cfg.mixture_rules, cfg.exact_mixture, bonus)
+        assert action.order_index(length) == expected
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def random_weights(self, rng, k):
+        weights = rng.random(k)
+        weights[rng.random(k) < 0.25] = 0.0
+        weights[0] = 0.5
+        return weights
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_enumerated(self, seed):
+        rng = np.random.default_rng(seed)
+        length, horizon = int(rng.integers(3, 5)), 2
+        rules = tuple(int(r) for r in rng.choice(256, size=int(rng.integers(1, 6)), replace=False))
+        cfg = AgentConfig(kind="belief_mpc", plan_horizon=horizon, rollout_budget=(length + 1) ** horizon)
+        self.check(rules, self.random_weights(rng, len(rules)), length, cfg, seed)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sampled_mixture_of_128(self, seed):
+        rng = np.random.default_rng(50 + seed)
+        rules = tuple(int(r) for r in rng.choice(256, size=128, replace=False))
+        cfg = AgentConfig(kind="belief_mpc", plan_horizon=3, rollout_budget=24)
+        self.check(rules, self.random_weights(rng, 128), 7, cfg, seed)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_mixture_with_bonus(self, seed):
+        rng = np.random.default_rng(80 + seed)
+        rules = tuple(int(r) for r in rng.choice(256, size=12, replace=False))
+        cfg = AgentConfig(kind="belief_mpc_ig", plan_horizon=2, rollout_budget=20, exact_mixture=True, ig_weight=0.5)
+        bonus = {i: float(rng.choice([0.0, 0.25, 0.5])) for i in range(7)}  # coarse values make ties
+        self.check(rules, self.random_weights(rng, 12), 6, cfg, seed, bonus)
+
+    def test_tapes_longer_than_a_word(self):
+        cfg = AgentConfig(kind="belief_mpc", plan_horizon=2, rollout_budget=6)
+        self.check((30, 90, 110), np.array([0.5, 0.25, 0.25]), 70, cfg, seed=3)
 
 
 class TestBeliefMpc:

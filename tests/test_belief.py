@@ -15,6 +15,7 @@ from rulebench import (
     posterior_update,
     predictive,
 )
+from rulebench.belief import info_gain_sweep
 
 from oracles import (
     brute_consistent_rules,
@@ -179,6 +180,55 @@ class TestInfoGain:
             assert ig_e <= entropy(belief) + 1e-12
             oracle_value = brute_info_gain(support, belief.probs, list(state.cells), a)
             assert ig_e == pytest.approx(oracle_value, abs=1e-10)
+
+
+class TestInfoGainSweep:
+    def random_belief(self, rng, k):
+        support = tuple(int(r) for r in rng.choice(256, size=k, replace=False))
+        weights = rng.random(k)
+        if k > 1:
+            weights[rng.random(k) < 0.3] = 0.0  # zero-mass entries
+            weights[int(rng.integers(0, k))] = 0.5
+        return Belief.from_weights(support, weights)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 16, 64, 128])
+    def test_equals_info_gain_entropy_exactly(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(20 if k <= 16 else 5):
+            belief = self.random_belief(rng, k)
+            length = int(rng.integers(3, 13))
+            state = Tape(int(rng.integers(0, 1 << length)), length)
+            gains = info_gain_sweep(belief, state)
+            assert len(gains) == length + 1
+            for i, gain in enumerate(gains):
+                assert gain == info_gain_entropy(belief, state, Action.from_order_index(i, length)), (k, i)
+
+    def test_long_tape_equals_info_gain_entropy_exactly(self):
+        rng = np.random.default_rng(70)
+        belief = self.random_belief(rng, 16)
+        state = Tape(int.from_bytes(rng.bytes(9), "little") & ((1 << 70) - 1), 70)
+        gains = info_gain_sweep(belief, state)
+        assert gains == [info_gain_entropy(belief, state, Action.from_order_index(i, 70)) for i in range(71)]
+
+
+class TestLongTapes:
+    @pytest.mark.parametrize("length", [64, 70])
+    def test_posterior_and_predictive_match_oracle(self, length):
+        rng = np.random.default_rng(length)
+        support = tuple(int(r) for r in rng.choice(256, size=12, replace=False))
+        belief = Belief.uniform(support)
+        for _ in range(5):
+            cells = [int(b) for b in rng.integers(0, 2, size=length)]
+            a = int(rng.integers(0, length + 1))
+            true_rule = support[int(rng.integers(0, len(support)))]
+            nxt = brute_step(cells if a == length else cells[:a] + [1 - cells[a]] + cells[a + 1:], true_rule)
+            action = Action.from_order_index(a, length)
+            updated = posterior_update(belief, Transition(Tape.from_cells(cells), action, Tape.from_cells(nxt)))
+            alive = {z for z, p in zip(support, updated.probs) if p > 0.0}
+            assert alive == brute_consistent_rules(support, [(cells, a, nxt)])
+            dist = predictive(belief, Tape.from_cells(cells), action)
+            expected = brute_predictions(support, belief.probs, cells, a)
+            assert {"".join(map(str, o.cells)): p for o, p in zip(dist.outcomes, dist.probs)} == pytest.approx(expected)
 
 
 class TestBeliefValidation:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rulebench import DomainError, Tape, decode_rule, encode_rule, enumerate_orbit, step
-from rulebench.ca import step_bits
+from rulebench.ca import as_words, popcount, step_bits
 
 from oracles import brute_decode, brute_orbit, brute_step, cells_from_string
 
@@ -89,6 +89,60 @@ class TestStep:
             cells = [int(b) for b in rng.integers(0, 2, size=length)]
             rule = int(rng.integers(0, 256))
             assert list(step(Tape.from_cells(cells), rule).cells) == brute_step(cells, rule)
+
+
+def cells_of(bits: int, length: int) -> list[int]:
+    return [(bits >> i) & 1 for i in range(length)]
+
+
+class TestBitParallelKernel:
+    """``step_bits`` against the per-cell oracle, on Python ints and on arrays."""
+
+    BOUNDARIES = ("periodic", "fixed_zero")
+
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("length", [3, 8])
+    def test_scalar_matches_oracle_exhaustive(self, length, boundary):
+        for rule in range(256):
+            for bits in range(1 << length):
+                got = step_bits(bits, length, rule, boundary)
+                assert cells_of(got, length) == brute_step(cells_of(bits, length), rule, boundary), (rule, bits)
+
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    def test_scalar_matches_oracle_all_rules_at_13(self, boundary):
+        rng = np.random.default_rng(13)
+        for bits in [0, (1 << 13) - 1] + [int(b) for b in rng.integers(0, 1 << 13, size=30)]:
+            for rule in range(256):
+                got = step_bits(bits, 13, rule, boundary)
+                assert cells_of(got, 13) == brute_step(cells_of(bits, 13), rule, boundary), (rule, bits)
+
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("length,dtype", [(3, np.uint64), (8, np.uint64), (13, np.uint64),
+                                              (64, np.uint64), (100, object)])
+    def test_array_matches_oracle_all_rules(self, length, dtype, boundary):
+        rng = np.random.default_rng(length)
+        if length <= 8:
+            tapes = list(range(1 << length))
+        else:
+            full = (1 << length) - 1
+            tapes = [0, full, 1, 1 << (length - 1)] + [int.from_bytes(rng.bytes(13), "little") & full
+                                                        for _ in range(8)]
+        words = as_words(tapes, length)
+        assert words.dtype == dtype
+        got = step_bits(words[None, :], length, as_words(range(256), length)[:, None], boundary)
+        assert got.shape == (256, len(tapes)) and got.dtype == dtype
+        for rule in range(256):
+            for j, bits in enumerate(tapes):
+                assert cells_of(int(got[rule, j]), length) == brute_step(cells_of(bits, length), rule, boundary)
+
+    @pytest.mark.parametrize("length", [8, 64, 100])
+    def test_popcount_counts_set_cells(self, length):
+        tapes = [0, 1, (1 << length) - 1, int("10" * (length // 2), 2)]
+        assert popcount(as_words(tapes, length)).tolist() == [bin(t).count("1") for t in tapes]
+
+    def test_out_of_range_rule_rejected(self):
+        with pytest.raises(DomainError):
+            step_bits(5, 4, 256)
 
 
 class TestEnumerateOrbit:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import time
 from pathlib import Path
@@ -14,6 +15,7 @@ from rulebench import (
     run_experiment,
     verify_theory,
 )
+from rulebench import harness
 from rulebench.agents import Agent, make_agent
 from rulebench.cli import main as cli_main
 from rulebench.harness import cell_seed, load_config, load_run, render_report
@@ -109,6 +111,40 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="split verification failed"):
             run_experiment(cfg, split=corrupted)
         assert not (tmp_path / "run" / "episodes.jsonl").exists()
+
+    def test_failed_write_keeps_previous_outputs(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path / "run")
+        run_experiment(cfg)
+        before = {name: (tmp_path / "run" / name).read_bytes() for name in ("episodes.jsonl", "manifest.json")}
+
+        calls = itertools.count()
+        real_dumps = json.dumps
+        open_files = []
+
+        def failing_dumps(obj, **kwargs):
+            if next(calls) == 3:  # partway through the episode log
+                open_files.extend(sorted(p.name for p in (tmp_path / "run").iterdir()))
+                raise OSError("simulated write failure")
+            return real_dumps(obj, **kwargs)
+
+        monkeypatch.setattr(harness.json, "dumps", failing_dumps)
+        with pytest.raises(OSError, match="simulated"):
+            run_experiment(dataclasses.replace(cfg, base_seed=78))
+        monkeypatch.undo()
+        assert open_files == ["episodes.jsonl", "episodes.jsonl.tmp", "manifest.json"]
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["episodes.jsonl", "manifest.json"]
+        for name, content in before.items():
+            assert (tmp_path / "run" / name).read_bytes() == content
+
+    def test_failed_first_write_leaves_no_log(self, tmp_path, monkeypatch):
+        def failing_dumps(obj, **kwargs):
+            raise OSError("simulated write failure")
+
+        monkeypatch.setattr(harness.json, "dumps", failing_dumps)
+        with pytest.raises(OSError):
+            run_experiment(small_config(tmp_path / "run"))
+        monkeypatch.undo()
+        assert list((tmp_path / "run").iterdir()) == []
 
     def test_smoke_config_under_five_seconds(self, tmp_path):
         cfg = ExperimentConfig(
@@ -218,6 +254,26 @@ class TestConfigIO:
         with pytest.raises(ConfigError, match="unknown agent config keys"):
             AgentConfig.from_json({"kind": "random", "temperature": 0.7})
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d.update(paralellism=2), "unknown config key paralellism"),
+        (lambda d: d["split"].update(horizn=8), "unknown config key split.horizn"),
+        (lambda d: d.pop("base_seed"), "missing config key base_seed"),
+        (lambda d: d["split"].pop("split_seed"), "missing config key split.split_seed"),
+        (lambda d: d.pop("split"), "missing config key split$"),
+    ])
+    def test_unknown_and_missing_keys_name_their_path(self, tmp_path, edit, message):
+        data = small_config(tmp_path / "out").to_json()
+        edit(data)
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_json(data)
+
+    def test_optional_keys_take_their_defaults(self, tmp_path):
+        data = small_config(tmp_path / "out").to_json()
+        del data["parallelism"]
+        del data["split"]["candidate_rules"]
+        cfg = ExperimentConfig.from_json(data)
+        assert cfg.parallelism == 1 and cfg.split.candidate_rules == tuple(range(256))
+
 
 class TestCli:
     def write_config(self, tmp_path) -> Path:
@@ -264,3 +320,29 @@ class TestCli:
 
     def test_missing_config_is_validation_failure(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "nope.json")]) == 1
+
+    def test_misspelled_config_key_is_validation_failure(self, tmp_path, capsys):
+        config_path = self.write_config(tmp_path)
+        data = json.loads(config_path.read_text())
+        data["split"]["horizn"] = data["split"].pop("horizon")
+        config_path.write_text(json.dumps(data))
+        assert cli_main(["run", str(config_path)]) == 1
+        assert "split.horizn" in capsys.readouterr().err
+
+    def test_runtime_key_error_is_runtime_failure(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr("rulebench.cli.run_experiment", broken)
+        assert cli_main(["run", str(self.write_config(tmp_path))]) == 2
+        assert "runtime failure" in capsys.readouterr().err
+
+    def test_run_refuses_manifest_leaking_test_rules(self, tmp_path, capsys):
+        config_path = self.write_config(tmp_path)
+        split = make_split(load_config(config_path).split)
+        leaky = dataclasses.replace(split, train_rules=split.train_rules + split.test_rules)
+        manifest_path = tmp_path / "leaky.json"
+        save_split_manifest(leaky, manifest_path)
+        assert cli_main(["run", str(config_path), "--split-manifest", str(manifest_path)]) == 1
+        assert "'train_rules'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "episodes.jsonl").exists()

@@ -137,3 +137,35 @@ class TestManifest:
         assert sorted(data["train_rules"] + data["test_rules"]) == [0, 90, 110, 204]
         assert len(data["train_tasks"]) == 4 and len(data["test_tasks"]) == 4
         assert all(set(t) == {"rule", "length", "horizon", "target", "task_seed"} for t in data["train_tasks"])
+
+
+class TestManifestRegeneration:
+    def test_train_rules_leaking_a_test_rule_are_refused(self):
+        split = make_split(spec_with(n_train_tasks=3, n_test_tasks=2))
+        data = split_manifest(split)
+        data["train_rules"] = data["train_rules"] + [data["test_rules"][0]]
+        # the tasks still pass the protocol checks: only train_rules leaks
+        assert verify_split(split.train_tasks, split.test_tasks, split.spec).ok
+        with pytest.raises(ConfigError, match="'train_rules'"):
+            split_from_manifest(data)
+
+    def test_tampered_target_is_refused(self):
+        data = split_manifest(make_split(spec_with(n_train_tasks=3, n_test_tasks=2)))
+        target = data["test_tasks"][1]["target"]
+        data["test_tasks"][1]["target"] = ("1" if target[0] == "0" else "0") + target[1:]
+        with pytest.raises(ConfigError, match="'test_tasks'"):
+            split_from_manifest(data)
+
+    def test_unknown_and_missing_fields_are_named(self):
+        data = split_manifest(make_split(spec_with()))
+        with pytest.raises(ConfigError, match="'notes'"):
+            split_from_manifest(dict(data, notes="hand-edited"))
+        del data["test_rules"]
+        with pytest.raises(ConfigError, match="'test_rules'"):
+            split_from_manifest(data)
+
+    def test_spec_keys_are_strict(self):
+        data = split_manifest(make_split(spec_with()))
+        data["spec"]["horizn"] = 8
+        with pytest.raises(ConfigError, match="unknown config key spec.horizn"):
+            split_from_manifest(data)
