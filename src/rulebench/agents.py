@@ -31,9 +31,9 @@ import numpy as np
 
 # info_gain_entropy is not called here; perfbench/tracer.py looks it up in this module.
 from .belief import Belief, entropy, info_gain_entropy, info_gain_sweep, posterior_update  # noqa: F401
-from .ca import Tape, as_words, popcount, step_bits
-from .env import Action, TaskSpec, Transition
-from .errors import ConfigError, InconsistentObservationError
+from .ca import Tape, as_words, step_bits
+from .env import Action, TaskSpec, Transition, action_flips, match_fraction
+from .errors import ConfigError, InconsistentObservationError, check_keys
 from .seeding import make_rng
 
 __all__ = [
@@ -122,11 +122,9 @@ class AgentConfig:
         return data
 
     @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "AgentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown agent config keys: {sorted(unknown)}")
+    def from_json(cls, data: dict[str, Any], path: str = "agent") -> "AgentConfig":
+        """Parse one agent entry; unknown or missing keys are errors that name ``path.key``."""
+        check_keys(cls, data, path)
         kwargs = dict(data)
         if "bridge_command" in kwargs:
             kwargs["bridge_command"] = tuple(kwargs["bridge_command"])
@@ -135,8 +133,6 @@ class AgentConfig:
 
 class Agent:
     """Episode-confined decision maker driven by ``run_episode``."""
-
-    stateful_across_episodes = False
 
     def __init__(self, name: str):
         self.name = name
@@ -197,12 +193,12 @@ def plan_mpc(
     else:
         sequences = rng.integers(0, n_actions, size=(cfg.rollout_budget, cfg.plan_horizon))
 
-    flips = as_words([1 << i for i in range(length)] + [0], length)  # by action order index; no_op flips nothing
+    flips = as_words(action_flips(length), length)
     bits = np.full((len(eval_rules), len(sequences)), state.bits, dtype=eval_rules.dtype)
     acc = np.zeros(bits.shape)
     for t in range(cfg.plan_horizon):
         bits = step_bits(bits ^ flips[sequences[:, t]], length, eval_rules[:, None])
-        acc += (length - popcount(bits ^ target.bits)) / length
+        acc += match_fraction(bits, target.bits, length)
     score = np.zeros(len(sequences))
     for w, rule_acc in zip(eval_weights, acc):  # rule by rule, the summation order of one rollout at a time
         score += w * rule_acc
@@ -311,8 +307,6 @@ class TabularQAgent(Agent):
     keyed by (length, state bits); unseen rows start at zero and greedy ties
     break to the lowest action index.
     """
-
-    stateful_across_episodes = True
 
     def __init__(self, cfg: AgentConfig):
         super().__init__(cfg.agent_name)

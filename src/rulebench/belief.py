@@ -29,7 +29,7 @@ import numpy as np
 
 from . import ca
 from .ca import Tape
-from .env import Action, Transition, intervene
+from .env import Action, Transition, action_flips, intervene
 from .errors import DomainError, InconsistentObservationError
 
 __all__ = [
@@ -195,7 +195,7 @@ def info_gain_sweep(belief: Belief, s: Tape) -> list[float]:
     """
     length = s.length
     alive = np.flatnonzero(belief.probs > 0.0).tolist()
-    inputs = [s.bits ^ (1 << i) for i in range(length)] + [s.bits]  # flip(0) .. flip(L-1), no_op
+    inputs = [s.bits ^ flip for flip in action_flips(length)]
     predicted = _predict([belief.support[i] for i in alive], inputs, length)
     prior_entropy = entropy(belief)
     gains = []

@@ -133,8 +133,6 @@ class BridgeAgent(Agent):
     kills it so the next episode starts from a clean process.
     """
 
-    stateful_across_episodes = True
-
     def __init__(self, cfg: AgentConfig):
         super().__init__(cfg.agent_name)
         self.cfg = cfg

@@ -104,6 +104,10 @@ class Tape:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
 
 
+# Rule bit k as an all-ones (-1) or all-zeros word: the mask of minterm k = 4*left + 2*center + right.
+_RULE_MASKS = tuple(tuple(-((rule >> k) & 1) for k in range(8)) for rule in range(256))
+
+
 def step_bits(bits, length: int, rule, boundary: str = "periodic"):
     """One synchronous update of bit-packed tapes; uncached and bit-parallel.
 
@@ -115,6 +119,9 @@ def step_bits(bits, length: int, rule, boundary: str = "periodic"):
     """
     if isinstance(rule, int):
         decode_rule(rule)  # range check
+        m0, m1, m2, m3, m4, m5, m6, m7 = _RULE_MASKS[rule]
+    else:
+        m0, m1, m2, m3, m4, m5, m6, m7 = [-((rule >> k) & 1) for k in range(8)]
     if boundary == "periodic":
         left = (bits << 1) | (bits >> (length - 1))
         right = (bits >> 1) | ((bits & 1) << (length - 1))
@@ -122,8 +129,6 @@ def step_bits(bits, length: int, rule, boundary: str = "periodic"):
         left, right = bits << 1, bits >> 1
     else:
         raise DomainError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
-    # Rule bit k as an all-ones or all-zeros word: the mask of minterm k = 4*left + 2*center + right.
-    m0, m1, m2, m3, m4, m5, m6, m7 = [-((rule >> k) & 1) for k in range(8)]
     # The masked minterms summed one neighbor at a time (Shannon expansion):
     # x ^ ((x ^ y) & w) takes y's bit where w is set and x's where it is clear;
     # lcXY is the output where (left, center) = (X, Y), lX where left = X.

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-  rulebench run <config.json> [--output-dir DIR] [--parallelism N] [--split-manifest FILE]
+  rulebench run <config.json> [--output-dir DIR] [--split-manifest FILE]
   rulebench report <log_dir> --mode {id,ood,gap} [--fmt {text,csv}]
   rulebench verify-theory [--trials N] [--seed S]
   rulebench verify-split <manifest.json>
@@ -36,8 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute an experiment config")
     run_p.add_argument("config", type=Path)
     run_p.add_argument("--output-dir", type=Path, default=None)
-    run_p.add_argument("--parallelism", type=int, default=None,
-                       help="accepted and validated (>= 1) for existing configs; runs are serial, so it has no effect")
     run_p.add_argument("--split-manifest", type=Path, default=None,
                        help="run against a previously generated split manifest instead of regenerating")
 
@@ -65,8 +63,6 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.output_dir is not None:
         config = dataclasses.replace(config, output_dir=str(args.output_dir))
-    if args.parallelism is not None:
-        config = dataclasses.replace(config, parallelism=args.parallelism)
     split = load_split_manifest(args.split_manifest) if args.split_manifest else None
     manifest = run_experiment(config, split=split)
     ok = sum(1 for e in manifest.seed_table if e["status"] == "ok")

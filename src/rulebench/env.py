@@ -27,6 +27,7 @@ __all__ = [
     "EpisodeResult",
     "TaskSpec",
     "Transition",
+    "action_flips",
     "env_step",
     "intervene",
     "make_target",
@@ -191,8 +192,19 @@ def intervene(state: Tape, action: Action) -> Tape:
     return state.with_flip(action.index)
 
 
-def match_fraction(bits_a: int, bits_b: int, length: int) -> float:
-    return (length - ((bits_a ^ bits_b).bit_count())) / length
+def action_flips(length: int) -> list[int]:
+    """The cells each action flips, as a bit word, by action order index (``no_op`` flips none)."""
+    return [1 << i for i in range(length)] + [0]
+
+
+def match_fraction(bits_a, bits_b, length: int):
+    """Fraction of cells on which two tapes agree.
+
+    Takes Python ints, or :func:`ca.as_words` arrays (elementwise).
+    """
+    diff = bits_a ^ bits_b
+    mismatches = diff.bit_count() if isinstance(diff, int) else ca.popcount(diff)
+    return (length - mismatches) / length
 
 
 def env_step(state: Tape, action: Action, task: TaskSpec, steps_used: int = 0):

@@ -4,14 +4,16 @@ A run executes every (agent, test task, episode) cell of its config. Cell
 seeds are ``derive_seed(base_seed, agent_name, task_index, episode_index)``,
 so adding an agent or extending a run never perturbs existing cells. Each
 agent config gets one instance, which plays its cells in canonical order;
-agents that learn across episodes (``stateful_across_episodes``, e.g.
-tabular Q) rely on that order, the others reset in ``begin_episode``. Runs are serial: the work is CPU-bound
-Python and numpy, so a thread pool only contends for the interpreter lock.
-``parallelism`` is still accepted and validated, and has no effect; the
-finalized, canonically sorted logs are byte-identical at any value.
+agents that learn across episodes (tabular Q) rely on that order, the others
+reset in ``begin_episode``. Runs are serial: the work is CPU-bound Python and
+numpy, so a thread pool only contends for the interpreter lock. The config's
+``parallelism`` field is still accepted and validated, and has no effect; the
+canonically sorted logs are byte-identical at any value.
 
-Outputs per run directory, each written to a temporary file beside it and
-renamed into place, so a failed run leaves the previous file or none:
+Outputs per run directory. Both are written to temporary files beside them
+first and only then renamed into place, so a run that fails while writing
+leaves the previous pair (or none). Only a crash or a failed rename between
+the two renames can leave a new log beside the previous manifest:
 
 * ``episodes.jsonl`` — one JSON record per episode (the episode's fields plus
   its ``task_index``/``episode_index`` coordinates), sorted by
@@ -101,7 +103,7 @@ class ExperimentConfig:
         return cls(**dict(
             data,
             split=SplitSpec.from_json(data["split"]),
-            agents=tuple(AgentConfig.from_json(a) for a in data["agents"]),
+            agents=tuple(AgentConfig.from_json(a, f"agents[{i}]") for i, a in enumerate(data["agents"])),
         ))
 
 
@@ -164,19 +166,25 @@ def _execute_cells(agent_cfg: AgentConfig, cells, tasks, base_seed: int, hypothe
     return out
 
 
-def _write_atomic(path: Path, chunks) -> None:
-    """Write ``chunks`` to a temporary file beside ``path``, then rename it over ``path``.
+def _write_atomic(files: dict[Path, Any]) -> None:
+    """Write each path's chunks to a temporary file beside it, then rename all of them into place.
 
-    A failure while writing removes the temporary file, so ``path`` keeps its
-    previous content (or stays absent) instead of holding a partial file.
+    No path is replaced until every temporary file is complete. A failure while
+    writing removes the temporary files, so each path keeps its previous
+    content (or stays absent) instead of holding a partial or mismatched file.
     """
-    tmp = path.with_name(path.name + ".tmp")
+    renames = []
     try:
-        with tmp.open("w") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
+        for path, chunks in files.items():
+            tmp = path.with_name(path.name + ".tmp")
+            renames.append((tmp, path))
+            with tmp.open("w") as fh:
+                fh.writelines(chunks)
+        for tmp, path in renames:
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in renames:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -229,16 +237,30 @@ def run_experiment(config: ExperimentConfig, split: Split | None = None, output_
 
     out_dir = Path(output_dir if output_dir is not None else config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_dir / EPISODE_LOG,
-                  (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n" for record in records))
-    _write_atomic(out_dir / MANIFEST_FILE, [json.dumps(manifest.to_json(), indent=2, sort_keys=True) + "\n"])
+    _write_atomic({
+        out_dir / EPISODE_LOG: (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n" for record in records),
+        out_dir / MANIFEST_FILE: [json.dumps(manifest.to_json(), indent=2, sort_keys=True) + "\n"],
+    })
     return manifest
 
 
+_REPORT_RECORD_KEYS = ("agent", "success", "task_index")  # what reports read of each log record
+
+
 def load_run(run_dir) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+    """A run's manifest and log records, refused with a :class:`ConfigError` naming
+    the first manifest field or record key that reports need and do not find."""
     run_dir = Path(run_dir)
     manifest = json.loads((run_dir / MANIFEST_FILE).read_text())
+    check_keys(RunManifest, manifest, "manifest")
+    spec = manifest["split"].get("spec") if isinstance(manifest["split"], dict) else None
+    if not isinstance(spec, dict) or "protocol" not in spec:
+        raise ConfigError("missing config key manifest.split.spec.protocol")
     records = [json.loads(line) for line in (run_dir / EPISODE_LOG).read_text().splitlines() if line]
+    for n, record in enumerate(records, 1):
+        for key in _REPORT_RECORD_KEYS:
+            if not isinstance(record, dict) or key not in record:
+                raise ConfigError(f"missing key {key} in {run_dir / EPISODE_LOG} line {n}")
     return manifest, records
 
 

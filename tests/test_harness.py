@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 import time
 from pathlib import Path
 
@@ -136,6 +137,29 @@ class TestRunExperiment:
         for name, content in before.items():
             assert (tmp_path / "run" / name).read_bytes() == content
 
+    def test_failed_manifest_write_keeps_previous_log(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path / "run")
+        run_experiment(cfg)
+        before = {name: (tmp_path / "run" / name).read_bytes() for name in ("episodes.jsonl", "manifest.json")}
+
+        real_open = Path.open
+        seen = []
+
+        def failing_open(self, *args, **kwargs):
+            if self.name == "manifest.json.tmp":  # after the whole new log is written
+                seen.extend(sorted(p.name for p in self.parent.iterdir()))
+                raise OSError(28, "simulated: no space left on device")
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", failing_open)
+        with pytest.raises(OSError, match="no space"):
+            run_experiment(dataclasses.replace(cfg, base_seed=78))
+        monkeypatch.undo()
+        assert seen == ["episodes.jsonl", "episodes.jsonl.tmp", "manifest.json"]
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["episodes.jsonl", "manifest.json"]
+        for name, content in before.items():
+            assert (tmp_path / "run" / name).read_bytes() == content
+
     def test_failed_first_write_leaves_no_log(self, tmp_path, monkeypatch):
         def failing_dumps(obj, **kwargs):
             raise OSError("simulated write failure")
@@ -251,7 +275,7 @@ class TestConfigIO:
             small_config(tmp_path, agents=(AgentConfig(kind="random"), AgentConfig(kind="random")))
 
     def test_unknown_agent_field_rejected(self):
-        with pytest.raises(ConfigError, match="unknown agent config keys"):
+        with pytest.raises(ConfigError, match="unknown config key agent.temperature"):
             AgentConfig.from_json({"kind": "random", "temperature": 0.7})
 
     @pytest.mark.parametrize("edit,message", [
@@ -260,6 +284,8 @@ class TestConfigIO:
         (lambda d: d.pop("base_seed"), "missing config key base_seed"),
         (lambda d: d["split"].pop("split_seed"), "missing config key split.split_seed"),
         (lambda d: d.pop("split"), "missing config key split$"),
+        (lambda d: d["agents"][1].update(rollout_budgett=8), r"unknown config key agents\[1\]\.rollout_budgett"),
+        (lambda d: d["agents"][0].pop("kind"), r"missing config key agents\[0\]\.kind"),
     ])
     def test_unknown_and_missing_keys_name_their_path(self, tmp_path, edit, message):
         data = small_config(tmp_path / "out").to_json()
@@ -328,6 +354,24 @@ class TestCli:
         config_path.write_text(json.dumps(data))
         assert cli_main(["run", str(config_path)]) == 1
         assert "split.horizn" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,edit,message", [
+        ("manifest.json", lambda d: d.pop("split"), "missing config key manifest.split$"),
+        ("manifest.json", lambda d: d["split"].pop("spec"), "missing config key manifest.split.spec"),
+        ("manifest.json", lambda d: d["split"]["spec"].pop("protocol"),
+         "missing config key manifest.split.spec.protocol"),
+        ("episodes.jsonl", lambda d: d.pop("success"), "missing key success in .*episodes.jsonl line 1"),
+    ])
+    def test_report_on_malformed_run_is_validation_failure(self, tmp_path, capsys, name, edit, message):
+        assert cli_main(["run", str(self.write_config(tmp_path))]) == 0
+        path = tmp_path / "out" / name
+        lines = path.read_text().splitlines()
+        data = json.loads(lines[0] if name == "episodes.jsonl" else "\n".join(lines))
+        edit(data)
+        path.write_text(json.dumps(data) + "\n" + "\n".join(lines[1:] if name == "episodes.jsonl" else []))
+        capsys.readouterr()
+        assert cli_main(["report", str(tmp_path / "out"), "--mode", "ood"]) == 1
+        assert re.search(message, capsys.readouterr().err)
 
     def test_runtime_key_error_is_runtime_failure(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):
