@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -33,7 +32,7 @@ import numpy as np
 from .belief import Belief, entropy, info_gain_entropy, info_gain_sweep, posterior_update  # noqa: F401
 from .ca import Tape, as_words, step_bits
 from .env import Action, TaskSpec, Transition, action_flips, match_fraction
-from .errors import ConfigError, InconsistentObservationError, check_keys
+from .errors import ConfigError, InconsistentObservationError
 from .seeding import make_rng
 
 __all__ = [
@@ -100,35 +99,6 @@ class AgentConfig:
     @property
     def agent_name(self) -> str:
         return self.name
-
-    def to_json(self) -> dict[str, Any]:
-        data = {
-            "kind": self.kind,
-            "name": self.agent_name,
-            "plan_horizon": self.plan_horizon,
-            "rollout_budget": self.rollout_budget,
-            "ig_weight": self.ig_weight,
-            "entropy_threshold": self.entropy_threshold,
-            "q_learning_rate": self.q_learning_rate,
-            "q_discount": self.q_discount,
-            "q_exploration": self.q_exploration,
-            "agent_seed": self.agent_seed,
-            "exact_mixture": self.exact_mixture,
-            "mixture_rules": self.mixture_rules,
-            "bridge_deadline": self.bridge_deadline,
-        }
-        if self.bridge_command is not None:
-            data["bridge_command"] = list(self.bridge_command)
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any], path: str = "agent") -> "AgentConfig":
-        """Parse one agent entry; unknown or missing keys are errors that name ``path.key``."""
-        check_keys(cls, data, path)
-        kwargs = dict(data)
-        if "bridge_command" in kwargs:
-            kwargs["bridge_command"] = tuple(kwargs["bridge_command"])
-        return cls(**kwargs)
 
 
 class Agent:

@@ -18,8 +18,9 @@ Protocol (version 1). Every message is one JSON object per line and carries
 actions are ``{"kind":"flip","index":i}`` or ``{"kind":"no_op"}``. ``reset``
 answers with the first action; each ``step`` answers with the action for the
 observation it delivers (the answer to a ``done`` step is a placeholder and
-is discarded). A malformed or version-mismatched line is answered with
-``{"v":1,"type":"error","message":...}`` and aborts the episode in progress.
+is discarded). A malformed or version-mismatched line, or a missing or
+wrong-typed field, is answered with ``{"v":1,"type":"error","message":...}``
+and aborts the episode in progress.
 The driver enforces a per-response deadline; a timeout fails the episode.
 """
 
@@ -34,12 +35,18 @@ from typing import Any, IO
 
 from .agents import Agent, AgentConfig
 from .ca import Tape
+from .codec import from_json, to_json
 from .env import Action, TaskSpec
 from .errors import AgentError
 
 __all__ = ["PROTOCOL_VERSION", "BridgeAgent", "serve"]
 
 PROTOCOL_VERSION = 1
+
+
+def _decode(message: dict[str, Any], **fields: Any) -> list[Any]:
+    """The named fields of a message, each decoded by the codec as its type; a bad one is named."""
+    return [from_json(tp, message.get(key), key) for key, tp in fields.items()]
 
 
 def _send(out: IO[str], message: dict[str, Any]) -> None:
@@ -58,9 +65,7 @@ def serve(agent: Agent, infile: IO[str] | None = None, outfile: IO[str] | None =
         if not line:
             continue
         try:
-            message = json.loads(line)
-            if not isinstance(message, dict):
-                raise ValueError("message must be a JSON object")
+            message = from_json(dict, json.loads(line), "message")
         except ValueError as exc:
             episode = None
             _send(outfile, {"v": PROTOCOL_VERSION, "type": "error", "message": f"malformed request: {exc}"})
@@ -80,24 +85,23 @@ def serve(agent: Agent, infile: IO[str] | None = None, outfile: IO[str] | None =
             if kind == "hello":
                 _send(outfile, {"v": PROTOCOL_VERSION, "type": "hello", "agent": agent.name})
             elif kind == "reset":
-                task = TaskSpec.from_json(message["task"])
-                obs = Tape.from_string(message["obs"])
-                agent.begin_episode(task, obs, message["seed"])
+                task, obs, seed = _decode(message, task=TaskSpec, obs=Tape, seed=int)
+                agent.begin_episode(task, obs, seed)
                 action = agent.act(obs)
                 episode = {"obs": obs, "action": action}
-                _send(outfile, {"v": PROTOCOL_VERSION, "type": "act", "action": action.to_json()})
+                _send(outfile, {"v": PROTOCOL_VERSION, "type": "act", "action": to_json(action)})
             elif kind == "step":
                 if episode is None:
                     raise ValueError("step before reset")
-                obs = Tape.from_string(message["obs"])
-                agent.observe(episode["obs"], episode["action"], message["reward"], obs, message["done"])
-                if message["done"]:
+                obs, reward, done = _decode(message, obs=Tape, reward=float, done=bool)
+                agent.observe(episode["obs"], episode["action"], reward, obs, done)
+                if done:
                     episode = None
-                    _send(outfile, {"v": PROTOCOL_VERSION, "type": "act", "action": Action.no_op().to_json()})
+                    _send(outfile, {"v": PROTOCOL_VERSION, "type": "act", "action": to_json(Action.no_op())})
                 else:
                     action = agent.act(obs)
                     episode = {"obs": obs, "action": action}
-                    _send(outfile, {"v": PROTOCOL_VERSION, "type": "act", "action": action.to_json()})
+                    _send(outfile, {"v": PROTOCOL_VERSION, "type": "act", "action": to_json(action)})
             else:
                 raise ValueError(f"unknown request type {kind!r}")
         except Exception as exc:
@@ -109,6 +113,7 @@ class _LineReader:
     """Background reader so response waits can time out without blocking."""
 
     def __init__(self, stream: IO[str]):
+        self._stream = stream
         self._queue: queue.Queue[str | None] = queue.Queue()
         self._thread = threading.Thread(target=self._pump, args=(stream,), daemon=True)
         self._thread.start()
@@ -123,6 +128,12 @@ class _LineReader:
             return self._queue.get(timeout=timeout)
         except queue.Empty:
             raise TimeoutError
+
+    def close(self, timeout: float) -> None:
+        """Close the stream once the pump has read its end; a pump blocked in a read holds its lock."""
+        self._thread.join(timeout)
+        if not self._thread.is_alive():
+            self._stream.close()
 
 
 class BridgeAgent(Agent):
@@ -174,9 +185,7 @@ class BridgeAgent(Agent):
         if line is None:
             self._fail("process closed its output stream")
         try:
-            message = json.loads(line)
-            if not isinstance(message, dict):
-                raise ValueError("response must be a JSON object")
+            message = from_json(dict, json.loads(line), "response")
         except ValueError as exc:
             self._request({"v": PROTOCOL_VERSION, "type": "error", "message": f"malformed response: {exc}"})
             self._fail(f"malformed response line: {exc}")
@@ -192,11 +201,11 @@ class BridgeAgent(Agent):
         self._request({
             "v": PROTOCOL_VERSION,
             "type": "reset",
-            "task": task.to_json(),
+            "task": to_json(task),
             "obs": str(obs),
             "seed": seed,
         })
-        self._pending = Action.from_json(self._response(expect="act")["action"])
+        self._pending = from_json(Action, self._response(expect="act").get("action"), "action")
 
     def act(self, obs: Tape) -> Action:
         if self._pending is None:
@@ -214,10 +223,11 @@ class BridgeAgent(Agent):
         })
         reply = self._response(expect="act")
         if not done:
-            self._pending = Action.from_json(reply["action"])
+            self._pending = from_json(Action, reply.get("action"), "action")
 
     def close(self) -> None:
-        proc, self._proc, self._reader, self._pending = self._proc, None, None, None
+        proc, reader = self._proc, self._reader
+        self._proc, self._reader, self._pending = None, None, None
         if proc is None:
             return
         try:
@@ -229,3 +239,4 @@ class BridgeAgent(Agent):
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+        reader.close(timeout=0.5)

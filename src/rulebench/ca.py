@@ -74,10 +74,9 @@ class Tape:
     @classmethod
     def from_string(cls, text: str) -> "Tape":
         """Parse the '0'/'1' text form; character 0 is cell 0."""
-        if not text or any(c not in "01" for c in text):
+        if not text or text.strip("01"):
             raise DomainError(f"tape string must be nonempty over '0'/'1', got {text!r}")
-        bits = sum(1 << i for i, c in enumerate(text) if c == "1")
-        return cls(bits, len(text))
+        return cls(int(text[::-1], 2), len(text))
 
     @classmethod
     def from_cells(cls, cells) -> "Tape":
@@ -101,7 +100,7 @@ class Tape:
         return Tape(self.bits ^ (1 << i), self.length)
 
     def __str__(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
+        return format(self.bits, f"0{self.length}b")[::-1]
 
 
 # Rule bit k as an all-ones (-1) or all-zeros word: the mask of minterm k = 4*left + 2*center + right.

@@ -8,7 +8,8 @@ Subcommands::
   rulebench verify-split <manifest.json>
   rulebench bridge-serve <kind> [--rules CSV] [--agent-config FILE]
 
-Exit codes: 0 success, 1 validation failure, 2 runtime failure.
+Exit codes: 0 success, 1 validation failure (a bad config, manifest or
+command line), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import sys
 from pathlib import Path
 
 from .agents import AgentConfig, make_agent
+from .codec import from_json
 from .errors import ConfigError, DomainError
 from .harness import load_config, render_report, run_experiment, verify_theory
 from .splits import load_split_manifest, verify_split
@@ -106,16 +108,21 @@ def _cmd_bridge_serve(args) -> int:
 
     fields = {}
     if args.agent_config is not None:
-        fields = json.loads(Path(args.agent_config).read_text())
-    fields["kind"] = args.kind
-    rules = tuple(int(r) for r in args.rules.split(",")) if args.rules else tuple(range(256))
-    agent = make_agent(AgentConfig.from_json(fields), rules)
+        fields = from_json(dict, json.loads(args.agent_config.read_text()), "agent")
+    try:
+        rules = tuple(int(r) for r in args.rules.split(",")) if args.rules else tuple(range(256))
+    except ValueError:
+        raise ConfigError(f"--rules must be comma-separated integers, got {args.rules!r}") from None
+    agent = make_agent(from_json(AgentConfig, dict(fields, kind=args.kind), "agent"), rules)
     serve(agent)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the problem; exit code 2 is its usage error
+        return EXIT_VALIDATION if exc.code == 2 else exc.code
     handlers = {
         "run": _cmd_run,
         "report": _cmd_report,

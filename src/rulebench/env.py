@@ -19,6 +19,7 @@ from typing import Any
 
 from . import ca
 from .ca import Tape
+from .codec import to_json
 from .errors import AgentError, DomainError
 from .seeding import derive_seed, make_rng
 
@@ -72,15 +73,6 @@ class Action:
     def from_order_index(cls, i: int, length: int) -> "Action":
         return cls.no_op() if i == length else cls.flip(i)
 
-    def to_json(self) -> dict[str, Any]:
-        if self.kind == "no_op":
-            return {"kind": "no_op"}
-        return {"kind": "flip", "index": self.index}
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "Action":
-        return cls(data["kind"], data.get("index"))
-
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -99,25 +91,6 @@ class TaskSpec:
         if self.horizon < 1:
             raise DomainError(f"horizon must be >= 1, got {self.horizon}")
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "rule": self.rule,
-            "length": self.length,
-            "horizon": self.horizon,
-            "target": str(self.target),
-            "task_seed": self.task_seed,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "TaskSpec":
-        return cls(
-            rule=data["rule"],
-            length=data["length"],
-            horizon=data["horizon"],
-            target=Tape.from_string(data["target"]),
-            task_seed=data["task_seed"],
-        )
-
 
 @dataclass(frozen=True)
 class Transition:
@@ -129,26 +102,15 @@ class Transition:
         if self.state.length != self.next_state.length:
             raise DomainError("transition states must have equal length")
 
-    def to_json(self) -> dict[str, Any]:
-        return {"state": str(self.state), "action": self.action.to_json(), "next_state": str(self.next_state)}
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "Transition":
-        return cls(
-            Tape.from_string(data["state"]),
-            Action.from_json(data["action"]),
-            Tape.from_string(data["next_state"]),
-        )
-
 
 @dataclass(frozen=True)
 class EpisodeResult:
     """Everything recorded about one episode; one log record per instance."""
 
     task: TaskSpec
-    agent_id: str
+    agent_id: str = field(metadata={"key": "agent"})
     success: float
-    ret: float
+    ret: float = field(metadata={"key": "return"})
     steps_used: int
     transitions: tuple[Transition, ...] = field(repr=False)
     episode_seed: int
@@ -160,27 +122,7 @@ class EpisodeResult:
             raise DomainError("steps_used exceeds horizon")
 
     def to_record(self) -> dict[str, Any]:
-        return {
-            "agent": self.agent_id,
-            "task": self.task.to_json(),
-            "success": self.success,
-            "return": self.ret,
-            "steps_used": self.steps_used,
-            "episode_seed": self.episode_seed,
-            "transitions": [t.to_json() for t in self.transitions],
-        }
-
-    @classmethod
-    def from_record(cls, data: dict[str, Any]) -> "EpisodeResult":
-        return cls(
-            task=TaskSpec.from_json(data["task"]),
-            agent_id=data["agent"],
-            success=data["success"],
-            ret=data["return"],
-            steps_used=data["steps_used"],
-            transitions=tuple(Transition.from_json(t) for t in data["transitions"]),
-            episode_seed=data["episode_seed"],
-        )
+        return to_json(self)
 
 
 def intervene(state: Tape, action: Action) -> Tape:

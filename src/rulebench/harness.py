@@ -39,10 +39,11 @@ from . import __version__
 from .agents import AgentConfig, make_agent
 from .belief import Belief, entropy, info_gain_entropy, info_gain_kl, info_gain_mi
 from .ca import Tape
+from .codec import from_json, to_json
 from .env import Action, run_episode
-from .errors import AgentError, ConfigError, check_keys
+from .errors import AgentError, ConfigError
 from .seeding import derive_seed, make_rng
-from .splits import Split, SplitSpec, make_split, split_manifest, verify_split
+from .splits import Split, SplitSpec, make_split, verify_split
 from .stats import Interval, SummaryStats, ci_normal, drop_ci, summarize
 
 __all__ = [
@@ -85,34 +86,16 @@ class ExperimentConfig:
         if len(set(names)) != len(names):
             raise ConfigError(f"agent names must be unique, got {names}")
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "split": self.split.to_json(),
-            "agents": [a.to_json() for a in self.agents],
-            "episodes_per_task": self.episodes_per_task,
-            "base_seed": self.base_seed,
-            "output_dir": self.output_dir,
-            "parallelism": self.parallelism,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "ExperimentConfig":
-        """Parse a config; unknown or missing keys are errors that name their path."""
-        check_keys(cls, data, "")
-        return cls(**dict(
-            data,
-            split=SplitSpec.from_json(data["split"]),
-            agents=tuple(AgentConfig.from_json(a, f"agents[{i}]") for i, a in enumerate(data["agents"])),
-        ))
-
 
 def load_config(path) -> ExperimentConfig:
-    return ExperimentConfig.from_json(json.loads(Path(path).read_text()))
+    """Read a config file; unknown, missing or wrong-typed keys are errors that name their path."""
+    return from_json(ExperimentConfig, json.loads(Path(path).read_text()))
 
 
 @dataclass
 class RunManifest:
+    """What a run records beside its log; ``config`` and ``split`` are JSON snapshots."""
+
     name: str
     config: dict[str, Any]
     split: dict[str, Any]
@@ -120,29 +103,6 @@ class RunManifest:
     artifact_version: str
     started_at: str
     finished_at: str
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "config": self.config,
-            "split": self.split,
-            "seed_table": self.seed_table,
-            "artifact_version": self.artifact_version,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "RunManifest":
-        return cls(
-            name=data["name"],
-            config=data["config"],
-            split=data["split"],
-            seed_table=data["seed_table"],
-            artifact_version=data["artifact_version"],
-            started_at=data["started_at"],
-            finished_at=data["finished_at"],
-        )
 
 
 def cell_seed(base_seed: int, agent_name: str, task_index: int, episode_index: int) -> int:
@@ -227,8 +187,8 @@ def run_experiment(config: ExperimentConfig, split: Split | None = None, output_
 
     manifest = RunManifest(
         name=config.name,
-        config=config.to_json(),
-        split=split_manifest(split),
+        config=to_json(config),
+        split=to_json(split),
         seed_table=seed_table,
         artifact_version=__version__,
         started_at=started,
@@ -239,7 +199,7 @@ def run_experiment(config: ExperimentConfig, split: Split | None = None, output_
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic({
         out_dir / EPISODE_LOG: (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n" for record in records),
-        out_dir / MANIFEST_FILE: [json.dumps(manifest.to_json(), indent=2, sort_keys=True) + "\n"],
+        out_dir / MANIFEST_FILE: [json.dumps(to_json(manifest), indent=2, sort_keys=True) + "\n"],
     })
     return manifest
 
@@ -247,13 +207,12 @@ def run_experiment(config: ExperimentConfig, split: Split | None = None, output_
 _REPORT_RECORD_KEYS = ("agent", "success", "task_index")  # what reports read of each log record
 
 
-def load_run(run_dir) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+def load_run(run_dir) -> tuple[RunManifest, list[dict[str, Any]]]:
     """A run's manifest and log records, refused with a :class:`ConfigError` naming
     the first manifest field or record key that reports need and do not find."""
     run_dir = Path(run_dir)
-    manifest = json.loads((run_dir / MANIFEST_FILE).read_text())
-    check_keys(RunManifest, manifest, "manifest")
-    spec = manifest["split"].get("spec") if isinstance(manifest["split"], dict) else None
+    manifest = from_json(RunManifest, json.loads((run_dir / MANIFEST_FILE).read_text()), "manifest")
+    spec = manifest.split.get("spec")
     if not isinstance(spec, dict) or "protocol" not in spec:
         raise ConfigError("missing config key manifest.split.spec.protocol")
     records = [json.loads(line) for line in (run_dir / EPISODE_LOG).read_text().splitlines() if line]
@@ -291,7 +250,7 @@ def gap_report(id_records, ood_records) -> tuple[list[tuple[str, float, float, f
     return rows, warnings
 
 
-def _discover_runs(log_dir) -> list[tuple[dict[str, Any], list[dict[str, Any]]]]:
+def _discover_runs(log_dir) -> list[tuple[RunManifest, list[dict[str, Any]]]]:
     log_dir = Path(log_dir)
     if not log_dir.is_dir():
         raise ConfigError(f"{log_dir} is not a directory")
@@ -304,8 +263,8 @@ def _discover_runs(log_dir) -> list[tuple[dict[str, Any], list[dict[str, Any]]]]
     return runs
 
 
-def _run_protocol(manifest: dict[str, Any]) -> str:
-    return manifest["split"]["spec"]["protocol"]
+def _run_protocol(manifest: RunManifest) -> str:
+    return manifest.split["spec"]["protocol"]
 
 
 def render_report(log_dir, mode: str, fmt: str = "text") -> tuple[str, list[str]]:
@@ -330,9 +289,9 @@ def render_report(log_dir, mode: str, fmt: str = "text") -> tuple[str, list[str]
         for manifest, rows in runs:
             protocol = _run_protocol(manifest)
             if mode == "id" and protocol != "id":
-                warnings.append(f"run {manifest['name']!r} has protocol {protocol!r} in an id report")
+                warnings.append(f"run {manifest.name!r} has protocol {protocol!r} in an id report")
             if mode == "ood" and protocol == "id":
-                warnings.append(f"run {manifest['name']!r} has protocol 'id' in an ood report")
+                warnings.append(f"run {manifest.name!r} has protocol 'id' in an ood report")
             records.extend(rows)
         if not records:
             warnings.append("no episode records found")

@@ -25,7 +25,8 @@ from typing import Any
 
 from . import ca
 from .env import TaskSpec, make_target
-from .errors import ConfigError, check_keys
+from .codec import from_json, to_json
+from .errors import ConfigError
 from .seeding import derive_seed, make_rng
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "make_split",
     "save_split_manifest",
     "split_from_manifest",
-    "split_manifest",
     "verify_split",
 ]
 
@@ -81,32 +81,11 @@ class SplitSpec:
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "protocol": self.protocol,
-            "candidate_rules": list(self.candidate_rules),
-            "split_seed": self.split_seed,
-            "n_train_tasks": self.n_train_tasks,
-            "n_test_tasks": self.n_test_tasks,
-            "train_fraction": self.train_fraction,
-            "train_lengths": list(self.train_lengths),
-            "test_lengths": list(self.test_lengths),
-            "horizon": self.horizon,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any], path: str = "split") -> "SplitSpec":
-        """Parse a spec; unknown or missing keys are errors that name ``path.key``."""
-        check_keys(cls, data, path)
-        kwargs = dict(data)
-        for key in ("candidate_rules", "train_lengths", "test_lengths"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class Split:
+    """A generated split. Its JSON form is the split manifest: spec, explicit rule lists, full task lists."""
+
     spec: SplitSpec
     train_rules: tuple[int, ...]
     test_rules: tuple[int, ...]
@@ -192,17 +171,6 @@ def verify_split(train: tuple[TaskSpec, ...], test: tuple[TaskSpec, ...], spec: 
     return SplitReport(violations)
 
 
-def split_manifest(split: Split) -> dict[str, Any]:
-    """Serializable audit record: protocol, seeds, explicit rule lists, full task lists."""
-    return {
-        "spec": split.spec.to_json(),
-        "train_rules": list(split.train_rules),
-        "test_rules": list(split.test_rules),
-        "train_tasks": [t.to_json() for t in split.train_tasks],
-        "test_tasks": [t.to_json() for t in split.test_tasks],
-    }
-
-
 def split_from_manifest(data: dict[str, Any]) -> Split:
     """The split a manifest records, refused unless its own spec generates exactly it.
 
@@ -214,8 +182,8 @@ def split_from_manifest(data: dict[str, Any]) -> Split:
     """
     if not isinstance(data, dict) or "spec" not in data:
         raise ConfigError("split verification failed: a split manifest is a JSON object with a 'spec'")
-    split = make_split(SplitSpec.from_json(data["spec"], path="spec"))
-    expected = split_manifest(split)
+    split = make_split(from_json(SplitSpec, data["spec"], "spec"))
+    expected = to_json(split)
     for field in [*expected, *data]:
         if field != "spec" and data.get(field) != expected.get(field):
             raise ConfigError(f"split verification failed: manifest field {field!r} differs "
@@ -224,7 +192,7 @@ def split_from_manifest(data: dict[str, Any]) -> Split:
 
 
 def save_split_manifest(split: Split, path) -> None:
-    Path(path).write_text(json.dumps(split_manifest(split), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(to_json(split), indent=2, sort_keys=True) + "\n")
 
 
 def load_split_manifest(path) -> Split:

@@ -260,31 +260,20 @@ def paired_t(diff_pairs: Sequence[tuple[float, float]]) -> TestResult:
 
 # --- grouping and tables ---------------------------------------------------
 
-def _record_fields(result: Any) -> tuple[str, Any, float]:
-    """(agent, task key, success) from an EpisodeResult or a parsed log record."""
-    if isinstance(result, dict):
-        task = result.get("task_index")
-        if task is None:
-            t = result["task"]
-            task = (t["rule"], t["length"], t["horizon"], t["target"], t["task_seed"])
-        return result["agent"], task, float(result["success"])
-    task = result.task
-    return result.agent_id, (task.rule, task.length, task.horizon, str(task.target), task.task_seed), float(result.success)
+def summarize(records: Iterable[dict[str, Any]], group_by: tuple[str, ...] = ("agent",)) -> list[tuple[Any, SummaryStats]]:
+    """Group the ``success`` values of episode-log records and reduce each group to (mean, sample std, n).
 
-
-def summarize(results: Iterable[Any], group_by: tuple[str, ...] = ("agent",)) -> list[tuple[Any, SummaryStats]]:
-    """Group success values and reduce each group to (mean, sample std, n).
-
-    ``group_by`` is ``("agent",)`` or ``("agent", "task")``. Groups are ordered
+    Each record needs ``agent``, ``success`` and ``task_index`` (what
+    ``harness.load_run`` guarantees). ``group_by`` is ``("agent",)`` or
+    ``("agent", "task")``; a task is its ``task_index``. Groups are ordered
     by descending mean (ties by group key) to match the report layout.
     """
     if group_by not in (("agent",), ("agent", "task")):
         raise DomainError(f"group_by must be ('agent',) or ('agent', 'task'), got {group_by!r}")
     groups: dict[Any, list[float]] = {}
-    for result in results:
-        agent, task_key, success = _record_fields(result)
-        key = agent if group_by == ("agent",) else (agent, task_key)
-        groups.setdefault(key, []).append(success)
+    for record in records:
+        key = record["agent"] if group_by == ("agent",) else (record["agent"], record["task_index"])
+        groups.setdefault(key, []).append(float(record["success"]))
     rows = []
     for key, values in groups.items():
         xs = np.asarray(values, dtype=float)

@@ -37,6 +37,7 @@ from rulebench import (
 )
 from rulebench.ca import step_bits
 from rulebench.cli import main as cli_main
+from rulebench.codec import to_json
 from rulebench.env import Action
 from rulebench.harness import load_run
 from rulebench.seeding import make_rng
@@ -212,7 +213,7 @@ class TestAcceptance:
         with pytest.raises(ConfigError):
             run_experiment(config, split=corrupted)
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config.to_json()))
+        config_path.write_text(json.dumps(to_json(config)))
         manifest_path = tmp_path / "corrupt-split.json"
         save_split_manifest(corrupted, manifest_path)
         refused = cli_main(["run", str(config_path), "--split-manifest", str(manifest_path)]) == 1

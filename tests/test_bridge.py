@@ -1,5 +1,6 @@
 import io
 import json
+import subprocess
 import sys
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from rulebench import AgentConfig, AgentError, ExperimentConfig, SplitSpec, TaskSpec, run_experiment
 from rulebench.agents import Agent, make_agent
 from rulebench.bridge import PROTOCOL_VERSION, BridgeAgent, serve
+from rulebench.codec import to_json
 from rulebench.env import Action, Tape, make_target, run_episode
 from rulebench.harness import load_run
 
@@ -19,11 +21,32 @@ FUTURE_VERSION_SCRIPT = (
     "    print(json.dumps({'v': 2, 'type': 'hello', 'agent': 'future'}))\n"
     "    sys.stdout.flush()\n"
 )
+FLIP_TRUE_SCRIPT = (
+    "import sys, json\n"
+    "for line in sys.stdin:\n"
+    "    kind = json.loads(line)['type']\n"
+    "    action = {'kind': 'flip', 'index': True}\n"
+    "    print(json.dumps({'v': 1, 'type': 'hello'} if kind == 'hello' else {'v': 1, 'type': 'act', 'action': action}))\n"
+    "    sys.stdout.flush()\n"
+)
 GARBAGE_SCRIPT = "import sys\nfor line in sys.stdin:\n    print('{not-json')\n    sys.stdout.flush()\n"
 
 
 def script_command(body: str) -> tuple[str, ...]:
     return (sys.executable, "-c", body)
+
+
+def recorded_processes(monkeypatch) -> list[subprocess.Popen]:
+    """Every process the bridge starts from now on, for checks after the bridge let go of it."""
+    started = []
+
+    class Recording(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recording)
+    return started
 
 
 def demo_task(rule=110, length=6, horizon=8, seed=5) -> TaskSpec:
@@ -77,6 +100,33 @@ class TestBridgeFailures:
         with pytest.raises(AgentError, match="malformed"):
             agent.begin_episode(demo_task(), Tape.from_string("010101"), seed=0)
 
+    def test_wrong_typed_action_fails_the_cell_naming_the_field(self):
+        agent = BridgeAgent(AgentConfig(kind="bridge", name="sloppy", bridge_command=script_command(FLIP_TRUE_SCRIPT),
+                                        bridge_deadline=5.0))
+        try:
+            with pytest.raises(AgentError, match=r"config key action\.index must be an integer, got a boolean"):
+                run_episode(demo_task(), agent, episode_seed=0)
+        finally:
+            agent.close()
+
+    def test_close_releases_both_pipes(self, monkeypatch):
+        started = recorded_processes(monkeypatch)
+        agent = BridgeAgent(AgentConfig(kind="bridge", name="random", bridge_command=SERVE_RANDOM,
+                                        bridge_deadline=30.0))
+        run_episode(demo_task(), agent, episode_seed=1)
+        agent.close()
+        (proc,) = started
+        assert proc.stdin.closed and proc.stdout.closed and proc.returncode is not None
+
+    def test_protocol_failure_releases_both_pipes(self, monkeypatch):
+        started = recorded_processes(monkeypatch)
+        agent = BridgeAgent(AgentConfig(kind="bridge", name="garbled", bridge_command=script_command(GARBAGE_SCRIPT),
+                                        bridge_deadline=5.0))
+        with pytest.raises(AgentError, match="malformed"):
+            agent.begin_episode(demo_task(), Tape.from_string("010101"), seed=0)
+        (proc,) = started
+        assert proc.stdin.closed and proc.stdout.closed and proc.returncode is not None
+
     def test_failed_cells_recorded_in_manifest_without_blocking_others(self, tmp_path):
         cfg = ExperimentConfig(
             name="bridge-fail",
@@ -113,7 +163,7 @@ class _ScriptedAgent(Agent):
         return Action.flip(0)
 
     def observe(self, state, action, reward, next_state, done):
-        self.observed.append((str(state), action.to_json(), reward, str(next_state), done))
+        self.observed.append((str(state), to_json(action), reward, str(next_state), done))
 
 
 def drive_serve(agent, requests: list[dict]) -> list[dict]:
@@ -125,7 +175,7 @@ def drive_serve(agent, requests: list[dict]) -> list[dict]:
 
 class TestServeLoop:
     def task_fields(self):
-        return demo_task(rule=204, length=4, seed=2).to_json()
+        return to_json(demo_task(rule=204, length=4, seed=2))
 
     def test_hello_reset_step_cadence(self):
         agent = _ScriptedAgent()
@@ -142,6 +192,17 @@ class TestServeLoop:
         # observe gets the transition the driver reported, including the done step
         assert agent.observed[0] == ("0101", {"kind": "flip", "index": 0}, 0.5, "1101", False)
         assert agent.observed[1][4] is True
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: m["task"].pop("rule"), "missing config key task.rule"),
+        (lambda m: m.update(seed="3"), "config key seed must be an integer, got a string"),
+        (lambda m: m.update(obs=101), "config key obs must be a string, got an integer"),
+    ])
+    def test_bad_reset_field_answered_with_error_naming_it(self, edit, message):
+        reset = {"v": 1, "type": "reset", "task": self.task_fields(), "obs": "0101", "seed": 3}
+        edit(reset)
+        replies = drive_serve(_ScriptedAgent(), [reset])
+        assert replies[0]["type"] == "error" and message in replies[0]["message"]
 
     def test_version_mismatch_answered_with_error(self):
         replies = drive_serve(_ScriptedAgent(), [{"v": 99, "type": "hello"}])

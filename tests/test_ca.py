@@ -172,6 +172,13 @@ class TestTape:
         assert t.cells == (0, 0, 1, 0, 1)
         assert t.cell(0) == 0 and t.cell(2) == 1
 
+    @pytest.mark.parametrize("length", range(3, 14))
+    def test_text_form_matches_cells_exhaustive(self, length):
+        for bits in range(1 << length):
+            text = "".join("1" if (bits >> i) & 1 else "0" for i in range(length))
+            assert str(Tape(bits, length)) == text
+            assert Tape.from_string(text) == Tape(bits, length)
+
     def test_minimum_length_enforced(self):
         with pytest.raises(DomainError):
             Tape.from_string("01")
@@ -187,6 +194,8 @@ class TestTape:
     def test_invalid_characters_rejected(self):
         with pytest.raises(DomainError):
             Tape.from_string("01x")
+        with pytest.raises(DomainError):
+            Tape.from_string("0_1")
 
     def test_with_flip(self):
         assert str(tape("000").with_flip(1)) == "010"

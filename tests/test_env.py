@@ -18,6 +18,7 @@ from rulebench import (
     step,
 )
 from rulebench.agents import Agent, make_agent
+from rulebench.codec import from_json, to_json
 from rulebench.seeding import derive_seed
 
 
@@ -181,7 +182,7 @@ class TestRunEpisode:
     def test_record_round_trip(self):
         task = task_with(150, "010011")
         result = run_episode(task, make_agent(AgentConfig(kind="random")), episode_seed=12)
-        assert EpisodeResult.from_record(result.to_record()) == result
+        assert from_json(EpisodeResult, to_json(result)) == result
 
     def test_return_accumulates_match_fractions(self):
         task = task_with(204, "1111", horizon=2)
@@ -193,6 +194,14 @@ class TestRunEpisode:
 
 
 class TestTypes:
+    @pytest.mark.parametrize("action,data", [
+        (Action.flip(3), {"kind": "flip", "index": 3}),
+        (Action.no_op(), {"kind": "no_op"}),
+    ])
+    def test_action_json_round_trip(self, action, data):
+        assert to_json(action) == data
+        assert from_json(Action, data) == action
+
     def test_task_invariants(self):
         with pytest.raises(DomainError):
             TaskSpec(204, 5, 8, tape("0101"), 0)  # target length mismatch

@@ -19,8 +19,12 @@ from rulebench import (
 from rulebench import harness
 from rulebench.agents import Agent, make_agent
 from rulebench.cli import main as cli_main
+from rulebench.codec import from_json, to_json
 from rulebench.harness import cell_seed, load_config, load_run, render_report
 from rulebench.splits import save_split_manifest
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_config(output_dir, parallelism=1, agents=None) -> ExperimentConfig:
@@ -267,7 +271,7 @@ class TestConfigIO:
     def test_round_trip(self, tmp_path):
         cfg = small_config(tmp_path / "out")
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg.to_json(), indent=2))
+        path.write_text(json.dumps(to_json(cfg), indent=2))
         assert load_config(path) == cfg
 
     def test_duplicate_agent_names_rejected(self, tmp_path):
@@ -276,7 +280,7 @@ class TestConfigIO:
 
     def test_unknown_agent_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key agent.temperature"):
-            AgentConfig.from_json({"kind": "random", "temperature": 0.7})
+            from_json(AgentConfig, {"kind": "random", "temperature": 0.7}, "agent")
 
     @pytest.mark.parametrize("edit,message", [
         (lambda d: d.update(paralellism=2), "unknown config key paralellism"),
@@ -286,18 +290,43 @@ class TestConfigIO:
         (lambda d: d.pop("split"), "missing config key split$"),
         (lambda d: d["agents"][1].update(rollout_budgett=8), r"unknown config key agents\[1\]\.rollout_budgett"),
         (lambda d: d["agents"][0].pop("kind"), r"missing config key agents\[0\]\.kind"),
+        (lambda d: d["agents"][1].update(exact_mixture="false"),
+         r"config key agents\[1\]\.exact_mixture must be a boolean, got a string"),
+        (lambda d: d["agents"][0].update(agent_seed="3"),
+         r"config key agents\[0\]\.agent_seed must be an integer, got a string"),
+        (lambda d: d["agents"][1].update(plan_horizon=2.0),
+         r"config key agents\[1\]\.plan_horizon must be an integer, got a number"),
+        (lambda d: d.update(episodes_per_task="2"), "config key episodes_per_task must be an integer, got a string"),
+        (lambda d: d.update(episodes_per_task=2.5), "config key episodes_per_task must be an integer, got a number"),
+        (lambda d: d.update(base_seed=1.5), "config key base_seed must be an integer, got a number"),
+        (lambda d: d.update(parallelism=True), "config key parallelism must be an integer, got a boolean"),
+        (lambda d: d.update(name=5), "config key name must be a string, got an integer"),
+        (lambda d: d["split"].update(train_lengths=6), "config key split.train_lengths must be an array, got an integer"),
+        (lambda d: d["split"].update(candidate_rules="90"),
+         "config key split.candidate_rules must be an array, got a string"),
+        (lambda d: d.update(agents=d["agents"][0]), "config key agents must be an array, got an object"),
     ])
     def test_unknown_and_missing_keys_name_their_path(self, tmp_path, edit, message):
-        data = small_config(tmp_path / "out").to_json()
+        data = to_json(small_config(tmp_path / "out"))
         edit(data)
         with pytest.raises(ConfigError, match=message):
-            ExperimentConfig.from_json(data)
+            from_json(ExperimentConfig, data)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_configs_round_trip(self, path):
+        cfg = load_config(path)
+        assert from_json(ExperimentConfig, to_json(cfg)) == cfg
+
+    def test_float_key_accepts_an_integer(self, tmp_path):
+        data = to_json(small_config(tmp_path / "out"))
+        data["agents"][1]["ig_weight"] = 1
+        assert from_json(ExperimentConfig, data).agents[1].ig_weight == 1.0
 
     def test_optional_keys_take_their_defaults(self, tmp_path):
-        data = small_config(tmp_path / "out").to_json()
+        data = to_json(small_config(tmp_path / "out"))
         del data["parallelism"]
         del data["split"]["candidate_rules"]
-        cfg = ExperimentConfig.from_json(data)
+        cfg = from_json(ExperimentConfig, data)
         assert cfg.parallelism == 1 and cfg.split.candidate_rules == tuple(range(256))
 
 
@@ -305,7 +334,7 @@ class TestCli:
     def write_config(self, tmp_path) -> Path:
         cfg = small_config(tmp_path / "out")
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg.to_json(), indent=2))
+        path.write_text(json.dumps(to_json(cfg), indent=2))
         return path
 
     def test_run_and_report(self, tmp_path, capsys):
@@ -343,6 +372,21 @@ class TestCli:
         assert cli_main(["run", str(config_path), "--split-manifest", str(manifest_path)]) == 1
         assert "split verification failed" in capsys.readouterr().err
         assert not (tmp_path / "out" / "episodes.jsonl").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["report", "."], "the following arguments are required: --mode"),
+        (["verify-theory", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
+        (["bridge-serve", "random", "--rules", "30,x"], "--rules must be comma-separated integers, got '30,x'"),
+    ])
+    def test_bad_command_line_is_validation_failure(self, capsys, argv, message):
+        assert cli_main(argv) == 1
+        assert message in capsys.readouterr().err
+
+    def test_agent_config_file_must_hold_an_object(self, tmp_path, capsys):
+        path = tmp_path / "agent.json"
+        path.write_text("[1]")
+        assert cli_main(["bridge-serve", "random", "--agent-config", str(path)]) == 1
+        assert "config key agent must be an object, got an array" in capsys.readouterr().err
 
     def test_missing_config_is_validation_failure(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "nope.json")]) == 1

@@ -3,12 +3,8 @@ import dataclasses
 import pytest
 
 from rulebench import ConfigError, SplitSpec, make_split, verify_split
-from rulebench.splits import (
-    load_split_manifest,
-    save_split_manifest,
-    split_from_manifest,
-    split_manifest,
-)
+from rulebench.codec import from_json, to_json
+from rulebench.splits import Split, load_split_manifest, save_split_manifest, split_from_manifest
 
 
 def spec_with(**overrides) -> SplitSpec:
@@ -126,14 +122,15 @@ class TestVerifySplit:
 class TestManifest:
     def test_round_trip(self, tmp_path):
         split = make_split(spec_with(n_train_tasks=3, n_test_tasks=2))
-        assert split_from_manifest(split_manifest(split)) == split
+        assert split_from_manifest(to_json(split)) == split
+        assert from_json(Split, to_json(split)) == split
         path = tmp_path / "split.json"
         save_split_manifest(split, path)
         assert load_split_manifest(path) == split
 
     def test_manifest_lists_rules_and_tasks_explicitly(self):
         split = make_split(spec_with())
-        data = split_manifest(split)
+        data = to_json(split)
         assert sorted(data["train_rules"] + data["test_rules"]) == [0, 90, 110, 204]
         assert len(data["train_tasks"]) == 4 and len(data["test_tasks"]) == 4
         assert all(set(t) == {"rule", "length", "horizon", "target", "task_seed"} for t in data["train_tasks"])
@@ -142,7 +139,7 @@ class TestManifest:
 class TestManifestRegeneration:
     def test_train_rules_leaking_a_test_rule_are_refused(self):
         split = make_split(spec_with(n_train_tasks=3, n_test_tasks=2))
-        data = split_manifest(split)
+        data = to_json(split)
         data["train_rules"] = data["train_rules"] + [data["test_rules"][0]]
         # the tasks still pass the protocol checks: only train_rules leaks
         assert verify_split(split.train_tasks, split.test_tasks, split.spec).ok
@@ -150,14 +147,14 @@ class TestManifestRegeneration:
             split_from_manifest(data)
 
     def test_tampered_target_is_refused(self):
-        data = split_manifest(make_split(spec_with(n_train_tasks=3, n_test_tasks=2)))
+        data = to_json(make_split(spec_with(n_train_tasks=3, n_test_tasks=2)))
         target = data["test_tasks"][1]["target"]
         data["test_tasks"][1]["target"] = ("1" if target[0] == "0" else "0") + target[1:]
         with pytest.raises(ConfigError, match="'test_tasks'"):
             split_from_manifest(data)
 
     def test_unknown_and_missing_fields_are_named(self):
-        data = split_manifest(make_split(spec_with()))
+        data = to_json(make_split(spec_with()))
         with pytest.raises(ConfigError, match="'notes'"):
             split_from_manifest(dict(data, notes="hand-edited"))
         del data["test_rules"]
@@ -165,7 +162,7 @@ class TestManifestRegeneration:
             split_from_manifest(data)
 
     def test_spec_keys_are_strict(self):
-        data = split_manifest(make_split(spec_with()))
+        data = to_json(make_split(spec_with()))
         data["spec"]["horizn"] = 8
         with pytest.raises(ConfigError, match="unknown config key spec.horizn"):
             split_from_manifest(data)
