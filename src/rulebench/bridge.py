@@ -20,120 +20,89 @@ answers with the first action; each ``step`` answers with the action for the
 observation it delivers (the answer to a ``done`` step is a placeholder and
 is discarded). A malformed or version-mismatched line, or a missing or
 wrong-typed field, is answered with ``{"v":1,"type":"error","message":...}``
-and aborts the episode in progress.
-The driver enforces a per-response deadline; a timeout fails the episode.
+and aborts the episode in progress. The driver reads each reply from the
+child's pipe under a deadline (``select``, so POSIX only); a reply that is
+not a complete line by then fails the episode.
 """
 
 from __future__ import annotations
 
 import json
-import queue
+import os
+import select
 import subprocess
 import sys
-import threading
+import time
 from typing import Any, IO
 
 from .agents import Agent, AgentConfig
 from .ca import Tape
 from .codec import from_json, to_json
 from .env import Action, TaskSpec
-from .errors import AgentError
+from .errors import AgentError, ConfigError
 
 __all__ = ["PROTOCOL_VERSION", "BridgeAgent", "serve"]
 
 PROTOCOL_VERSION = 1
 
 
-def _decode(message: dict[str, Any], **fields: Any) -> list[Any]:
-    """The named fields of a message, each decoded by the codec as its type; a bad one is named."""
-    return [from_json(tp, message.get(key), key) for key, tp in fields.items()]
-
-
-def _send(out: IO[str], message: dict[str, Any]) -> None:
+def _send(out: IO[str], kind: str, **fields: Any) -> None:
+    """Write one protocol message of type ``kind``; sorted keys fix its bytes."""
+    message = {"v": PROTOCOL_VERSION, "type": kind, **fields}
     out.write(json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n")
     out.flush()
+
+
+def _parse(line: str | bytes, what: str) -> dict[str, Any]:
+    """One line as a JSON object; anything else is a ValueError calling the ``what`` malformed."""
+    try:
+        return from_json(dict, json.loads(line), what)
+    except ValueError as exc:
+        raise ValueError(f"malformed {what}: {exc}") from None
+
+
+def _decode(message: dict[str, Any], **fields: Any) -> list[Any]:
+    """The named fields of a message, each decoded by the codec as its type; a bad one is named."""
+    if missing := [key for key in fields if key not in message]:
+        raise ConfigError(f"missing config key {missing[0]}")
+    return [from_json(tp, message[key], key) for key, tp in fields.items()]
 
 
 def serve(agent: Agent, infile: IO[str] | None = None, outfile: IO[str] | None = None) -> None:
     """Host ``agent`` on a line channel until the input stream closes."""
     infile = infile if infile is not None else sys.stdin
     outfile = outfile if outfile is not None else sys.stdout
-    episode: dict[str, Any] | None = None  # tracks prev obs / action between steps
+    episode: tuple[Tape, Action] | None = None  # the last observation and the action taken on it
 
     for line in infile:
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
         try:
-            message = from_json(dict, json.loads(line), "message")
-        except ValueError as exc:
-            episode = None
-            _send(outfile, {"v": PROTOCOL_VERSION, "type": "error", "message": f"malformed request: {exc}"})
-            continue
-
-        if message.get("v") != PROTOCOL_VERSION:
-            episode = None
-            _send(outfile, {
-                "v": PROTOCOL_VERSION,
-                "type": "error",
-                "message": f"unsupported protocol version {message.get('v')!r}; this agent speaks {PROTOCOL_VERSION}",
-            })
-            continue
-
-        try:
-            kind = message["type"]
+            message = _parse(line, "request")
+            if message.get("v") != PROTOCOL_VERSION:
+                raise ValueError(f"unsupported protocol version {message.get('v')!r}; "
+                                 f"this agent speaks {PROTOCOL_VERSION}")
+            kind = message.get("type")
             if kind == "hello":
-                _send(outfile, {"v": PROTOCOL_VERSION, "type": "hello", "agent": agent.name})
-            elif kind == "reset":
+                _send(outfile, "hello", agent=agent.name)
+                continue
+            if kind == "reset":
                 task, obs, seed = _decode(message, task=TaskSpec, obs=Tape, seed=int)
                 agent.begin_episode(task, obs, seed)
-                action = agent.act(obs)
-                episode = {"obs": obs, "action": action}
-                _send(outfile, {"v": PROTOCOL_VERSION, "type": "act", "action": to_json(action)})
+                done = False
             elif kind == "step":
                 if episode is None:
                     raise ValueError("step before reset")
                 obs, reward, done = _decode(message, obs=Tape, reward=float, done=bool)
-                agent.observe(episode["obs"], episode["action"], reward, obs, done)
-                if done:
-                    episode = None
-                    _send(outfile, {"v": PROTOCOL_VERSION, "type": "act", "action": to_json(Action.no_op())})
-                else:
-                    action = agent.act(obs)
-                    episode = {"obs": obs, "action": action}
-                    _send(outfile, {"v": PROTOCOL_VERSION, "type": "act", "action": to_json(action)})
+                agent.observe(*episode, reward, obs, done)
             else:
                 raise ValueError(f"unknown request type {kind!r}")
+            action = Action.no_op() if done else agent.act(obs)
+            episode = None if done else (obs, action)
+            _send(outfile, "act", action=to_json(action))
         except Exception as exc:
             episode = None
-            _send(outfile, {"v": PROTOCOL_VERSION, "type": "error", "message": str(exc)})
-
-
-class _LineReader:
-    """Background reader so response waits can time out without blocking."""
-
-    def __init__(self, stream: IO[str]):
-        self._stream = stream
-        self._queue: queue.Queue[str | None] = queue.Queue()
-        self._thread = threading.Thread(target=self._pump, args=(stream,), daemon=True)
-        self._thread.start()
-
-    def _pump(self, stream: IO[str]) -> None:
-        for line in stream:
-            self._queue.put(line)
-        self._queue.put(None)
-
-    def readline(self, timeout: float) -> str | None:
-        try:
-            return self._queue.get(timeout=timeout)
-        except queue.Empty:
-            raise TimeoutError
-
-    def close(self, timeout: float) -> None:
-        """Close the stream once the pump has read its end; a pump blocked in a read holds its lock."""
-        self._thread.join(timeout)
-        if not self._thread.is_alive():
-            self._stream.close()
+            _send(outfile, "error", message=str(exc))
 
 
 class BridgeAgent(Agent):
@@ -141,14 +110,15 @@ class BridgeAgent(Agent):
 
     The subprocess is spawned lazily, handshaken once, and reused across
     episodes; any protocol failure (timeout, malformed line, error response)
-    kills it so the next episode starts from a clean process.
+    kills it so the next episode starts from a clean process, and a process
+    that has exited is closed before the next one starts.
     """
 
     def __init__(self, cfg: AgentConfig):
         super().__init__(cfg.agent_name)
         self.cfg = cfg
         self._proc: subprocess.Popen | None = None
-        self._reader: _LineReader | None = None
+        self._unread = b""  # bytes read from the process past the last complete reply
         self._pending: Action | None = None
 
     def _fail(self, message: str) -> None:
@@ -158,37 +128,39 @@ class BridgeAgent(Agent):
     def _ensure_process(self) -> None:
         if self._proc is not None and self._proc.poll() is None:
             return
-        self._proc = subprocess.Popen(
-            list(self.cfg.bridge_command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-        )
-        self._reader = _LineReader(self._proc.stdout)
-        self._request({"v": PROTOCOL_VERSION, "type": "hello"})
+        self.close()
+        self._proc = subprocess.Popen(list(self.cfg.bridge_command), stdin=subprocess.PIPE,
+                                      stdout=subprocess.PIPE, text=True)
+        self._request("hello")
         reply = self._response(expect="hello")
         if reply.get("v") != PROTOCOL_VERSION:
             self._fail(f"handshake rejected: peer speaks protocol version {reply.get('v')!r}, "
                        f"driver speaks {PROTOCOL_VERSION}")
 
-    def _request(self, message: dict[str, Any]) -> None:
+    def _request(self, kind: str, **fields: Any) -> None:
         try:
-            _send(self._proc.stdin, message)
-        except (BrokenPipeError, OSError) as exc:
+            _send(self._proc.stdin, kind, **fields)
+        except OSError as exc:
             self._fail(f"process write failed: {exc}")
 
     def _response(self, expect: str) -> dict[str, Any]:
+        """The next reply line, read from the pipe for at most the time left before the deadline."""
+        deadline = time.monotonic() + self.cfg.bridge_deadline
+        fd = self._proc.stdout.fileno()
+        while b"\n" not in self._unread:
+            left = deadline - time.monotonic()
+            if left <= 0 or not select.select([fd], [], [], left)[0]:
+                self._fail(f"no response within {self.cfg.bridge_deadline}s deadline")
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                self._fail("process closed its output stream")
+            self._unread += chunk
+        line, _, self._unread = self._unread.partition(b"\n")
         try:
-            line = self._reader.readline(timeout=self.cfg.bridge_deadline)
-        except TimeoutError:
-            self._fail(f"no response within {self.cfg.bridge_deadline}s deadline")
-        if line is None:
-            self._fail("process closed its output stream")
-        try:
-            message = from_json(dict, json.loads(line), "response")
+            message = _parse(line, "response")
         except ValueError as exc:
-            self._request({"v": PROTOCOL_VERSION, "type": "error", "message": f"malformed response: {exc}"})
-            self._fail(f"malformed response line: {exc}")
+            self._request("error", message=str(exc))
+            self._fail(str(exc))
         if message.get("type") == "error":
             self._fail(f"peer error: {message.get('message')}")
         if message.get("type") != expect:
@@ -198,14 +170,8 @@ class BridgeAgent(Agent):
     def begin_episode(self, task: TaskSpec, obs: Tape, seed: int) -> None:
         self._ensure_process()
         self._pending = None
-        self._request({
-            "v": PROTOCOL_VERSION,
-            "type": "reset",
-            "task": to_json(task),
-            "obs": str(obs),
-            "seed": seed,
-        })
-        self._pending = from_json(Action, self._response(expect="act").get("action"), "action")
+        self._request("reset", task=to_json(task), obs=str(obs), seed=seed)
+        (self._pending,) = _decode(self._response(expect="act"), action=Action)
 
     def act(self, obs: Tape) -> Action:
         if self._pending is None:
@@ -214,20 +180,13 @@ class BridgeAgent(Agent):
         return action
 
     def observe(self, state: Tape, action: Action, reward: float, next_state: Tape, done: bool) -> None:
-        self._request({
-            "v": PROTOCOL_VERSION,
-            "type": "step",
-            "obs": str(next_state),
-            "reward": reward,
-            "done": done,
-        })
+        self._request("step", obs=str(next_state), reward=reward, done=done)
         reply = self._response(expect="act")
         if not done:
-            self._pending = from_json(Action, reply.get("action"), "action")
+            (self._pending,) = _decode(reply, action=Action)
 
     def close(self) -> None:
-        proc, reader = self._proc, self._reader
-        self._proc, self._reader, self._pending = None, None, None
+        proc, self._proc, self._unread, self._pending = self._proc, None, b"", None
         if proc is None:
             return
         try:
@@ -239,4 +198,4 @@ class BridgeAgent(Agent):
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
-        reader.close(timeout=0.5)
+        proc.stdout.close()

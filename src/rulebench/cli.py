@@ -5,7 +5,7 @@ Subcommands::
   rulebench run <config.json> [--output-dir DIR] [--split-manifest FILE]
   rulebench report <log_dir> --mode {id,ood,gap} [--fmt {text,csv}]
   rulebench verify-theory [--trials N] [--seed S]
-  rulebench verify-split <manifest.json>
+  rulebench verify-split <manifest.json>    (a split manifest or a run's manifest.json)
   rulebench bridge-serve <kind> [--rules CSV] [--agent-config FILE]
 
 Exit codes: 0 success, 1 validation failure (a bad config, manifest or
@@ -65,7 +65,10 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.output_dir is not None:
         config = dataclasses.replace(config, output_dir=str(args.output_dir))
-    split = load_split_manifest(args.split_manifest) if args.split_manifest else None
+    split = None
+    if args.split_manifest is not None:  # run the manifest's split, and record its spec as the config's
+        split = load_split_manifest(args.split_manifest)
+        config = dataclasses.replace(config, split=split.spec)
     manifest = run_experiment(config, split=split)
     ok = sum(1 for e in manifest.seed_table if e["status"] == "ok")
     failed = len(manifest.seed_table) - ok

@@ -5,8 +5,10 @@ and lists are arrays; a :class:`~rulebench.ca.Tape` is its ``'0'/'1'`` string;
 a ``dict`` passes through; a field typed ``X | None`` is omitted while ``None``.
 Decoding refuses an unknown, missing or wrong-typed key with a
 :class:`~rulebench.errors.ConfigError` naming its path (``agents[1].plan_horizon``);
-an ``int`` refuses a boolean and a ``float`` accepts an integer. Plans are
-built once per type.
+an ``int`` refuses a boolean and a ``float`` accepts an integer. A range
+check that a dataclass's constructor fails keeps its error type and is
+prefixed with the object's path (``agents[1]: plan_horizon must be >= 1``).
+Plans are built once per type.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import typing
 from typing import Any, Callable
 
 from .ca import Tape
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 __all__ = ["from_json", "to_json"]
 
@@ -115,5 +117,8 @@ def _decoder(tp: Any) -> Callable[[Any, str], Any]:
         for key in required:
             if key not in value:
                 raise ConfigError(f"missing config key {prefix}{key}")
-        return tp(**kwargs)
+        try:
+            return tp(**kwargs)
+        except (ConfigError, DomainError) as exc:  # a range check: name the object it failed in
+            raise type(exc)(f"{path}: {exc}" if path else str(exc)) from None
     return decode_object

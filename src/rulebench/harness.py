@@ -6,7 +6,8 @@ so adding an agent or extending a run never perturbs existing cells. Each
 agent config gets one instance, which plays its cells in canonical order;
 agents that learn across episodes (tabular Q) rely on that order, the others
 reset in ``begin_episode``. Runs are serial: the work is CPU-bound Python and
-numpy, so a thread pool only contends for the interpreter lock. The config's
+numpy, so a thread pool only contends for the interpreter lock. The program
+starts no threads; the bridge waits for its replies on the pipe. The config's
 ``parallelism`` field is still accepted and validated, and has no effect; the
 canonically sorted logs are byte-identical at any value.
 

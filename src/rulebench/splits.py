@@ -196,4 +196,8 @@ def save_split_manifest(split: Split, path) -> None:
 
 
 def load_split_manifest(path) -> Split:
-    return split_from_manifest(json.loads(Path(path).read_text()))
+    """The split of a split manifest, or of a run manifest, which records it under ``split``."""
+    data = json.loads(Path(path).read_text())
+    if isinstance(data, dict) and "spec" not in data and "split" in data:
+        data = data["split"]
+    return split_from_manifest(data)

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -30,6 +31,32 @@ FLIP_TRUE_SCRIPT = (
     "    sys.stdout.flush()\n"
 )
 GARBAGE_SCRIPT = "import sys\nfor line in sys.stdin:\n    print('{not-json')\n    sys.stdout.flush()\n"
+# Answers every request with a no-op; after a done step it leaves half a line unread and exits.
+EXIT_AFTER_EPISODE_SCRIPT = (
+    "import sys, json\n"
+    "for line in sys.stdin:\n"
+    "    message = json.loads(line)\n"
+    "    reply = {'v': 1, 'type': 'act', 'action': {'kind': 'no_op'}}\n"
+    "    if message['type'] == 'hello':\n"
+    "        reply = {'v': 1, 'type': 'hello'}\n"
+    "    sys.stdout.write(json.dumps(reply) + '\\n' + ('{left-over' if message.get('done') else ''))\n"
+    "    sys.stdout.flush()\n"
+    "    if message.get('done'):\n"
+    "        break\n"
+)
+# Writes each reply in two flushed halves, 0.1 s apart.
+SPLIT_REPLY_SCRIPT = (
+    "import sys, json, time\n"
+    "for line in sys.stdin:\n"
+    "    kind = json.loads(line)['type']\n"
+    "    reply = json.dumps({'v': 1, 'type': 'hello'} if kind == 'hello' else\n"
+    "                       {'v': 1, 'type': 'act', 'action': {'kind': 'flip', 'index': 2}}) + '\\n'\n"
+    "    for half in (reply[:len(reply) // 2], reply[len(reply) // 2:]):\n"
+    "        sys.stdout.write(half)\n"
+    "        sys.stdout.flush()\n"
+    "        time.sleep(0.1)\n"
+)
+HALF_LINE_SCRIPT = "import sys, time\nsys.stdout.write('{\"v\": 1, ')\nsys.stdout.flush()\ntime.sleep(30)\n"
 
 
 def script_command(body: str) -> tuple[str, ...]:
@@ -65,6 +92,29 @@ class TestBridgeFidelity:
         in_process = run_episode(task, make_agent(AgentConfig(kind="random")), episode_seed=9).to_record()
         assert via_bridge == in_process
 
+    def test_reply_written_in_halves_is_read_as_one(self):
+        agent = BridgeAgent(AgentConfig(kind="bridge", name="halves", bridge_command=script_command(SPLIT_REPLY_SCRIPT),
+                                        bridge_deadline=5.0))
+        try:
+            agent.begin_episode(demo_task(), Tape.from_string("010101"), seed=0)
+            assert agent.act(Tape.from_string("010101")) == Action.flip(2)
+        finally:
+            agent.close()
+
+    def test_exited_process_is_closed_before_the_next_starts(self, monkeypatch):
+        started = recorded_processes(monkeypatch)
+        agent = BridgeAgent(AgentConfig(kind="bridge", name="one-shot",
+                                        bridge_command=script_command(EXIT_AFTER_EPISODE_SCRIPT), bridge_deadline=5.0))
+        try:
+            run_episode(demo_task(), agent, episode_seed=1)
+            started[0].wait(timeout=5)
+            # The half line the first process left is not read as the second one's reply.
+            run_episode(demo_task(), agent, episode_seed=2)
+        finally:
+            agent.close()
+        first_proc, second_proc = started
+        assert first_proc.stdin.closed and first_proc.stdout.closed
+
     def test_process_reused_across_episodes(self):
         task = demo_task()
         bridged = BridgeAgent(AgentConfig(kind="bridge", name="random", bridge_command=SERVE_RANDOM,
@@ -85,6 +135,15 @@ class TestBridgeFailures:
         agent = BridgeAgent(cfg)
         with pytest.raises(AgentError, match="deadline"):
             agent.begin_episode(demo_task(), Tape.from_string("010101"), seed=0)
+
+    def test_half_line_then_stall_fails_at_the_deadline(self):
+        agent = BridgeAgent(AgentConfig(kind="bridge", name="stalled", bridge_command=script_command(HALF_LINE_SCRIPT),
+                                        bridge_deadline=1.0))
+        begun = time.monotonic()
+        with pytest.raises(AgentError, match="deadline"):
+            agent.begin_episode(demo_task(), Tape.from_string("010101"), seed=0)
+        # the deadline, then at most 0.5 s waiting for the process to exit before it is killed
+        assert time.monotonic() - begun < 1.0 + 0.5 + 1.0
 
     def test_version_mismatch_rejected_at_handshake(self):
         cfg = AgentConfig(kind="bridge", name="future", bridge_command=script_command(FUTURE_VERSION_SCRIPT),
@@ -197,6 +256,7 @@ class TestServeLoop:
         (lambda m: m["task"].pop("rule"), "missing config key task.rule"),
         (lambda m: m.update(seed="3"), "config key seed must be an integer, got a string"),
         (lambda m: m.update(obs=101), "config key obs must be a string, got an integer"),
+        (lambda m: m.pop("seed"), "missing config key seed"),
     ])
     def test_bad_reset_field_answered_with_error_naming_it(self, edit, message):
         reset = {"v": 1, "type": "reset", "task": self.task_fields(), "obs": "0101", "seed": 3}

@@ -434,3 +434,45 @@ class TestCli:
         assert cli_main(["run", str(config_path), "--split-manifest", str(manifest_path)]) == 1
         assert "'train_rules'" in capsys.readouterr().err
         assert not (tmp_path / "out" / "episodes.jsonl").exists()
+
+    def smoke_run(self, tmp_path) -> Path:
+        """The run directory of ``configs/smoke.json``, run through the CLI."""
+        assert cli_main(["run", str(CONFIGS / "smoke.json"), "--output-dir", str(tmp_path / "smoke")]) == 0
+        return tmp_path / "smoke"
+
+    def test_verify_split_reads_a_runs_manifest(self, tmp_path, capsys):
+        manifest_path = self.smoke_run(tmp_path) / "manifest.json"
+        assert cli_main(["verify-split", str(manifest_path)]) == 0
+
+        manifest = json.loads(manifest_path.read_text())
+        manifest["split"]["train_rules"].append(manifest["split"]["test_rules"][0])
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert cli_main(["verify-split", str(manifest_path)]) == 1
+        assert "'train_rules'" in capsys.readouterr().err
+
+    def test_split_manifest_run_records_the_spec_it_ran(self, tmp_path):
+        manifest_path = self.smoke_run(tmp_path) / "manifest.json"
+        config = json.loads((CONFIGS / "smoke.json").read_text())
+        config["split"]["split_seed"] = 99
+        config_path = tmp_path / "reseeded.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "rerun"
+        argv = ["run", str(config_path), "--split-manifest", str(manifest_path), "--output-dir", str(out)]
+        assert cli_main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["split"] == manifest["split"]["spec"]
+        assert manifest["split"]["spec"]["split_seed"] == 1
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda c: c["agents"].append({"kind": "belief_mpc", "plan_horizon": 0}),
+         "agents[1]: plan_horizon must be >= 1"),
+        (lambda c: c["split"].update(candidate_rules=[90, 300]), "split: rule must be in [0, 255], got 300"),
+    ])
+    def test_range_error_names_its_object(self, tmp_path, capsys, edit, message):
+        config = json.loads((CONFIGS / "smoke.json").read_text())
+        edit(config)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert cli_main(["run", str(config_path), "--output-dir", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
