@@ -96,10 +96,6 @@ class AgentConfig:
         if self.bridge_deadline <= 0:
             raise ConfigError("bridge_deadline must be positive")
 
-    @property
-    def agent_name(self) -> str:
-        return self.name
-
 
 class Agent:
     """Episode-confined decision maker driven by ``run_episode``."""
@@ -189,7 +185,7 @@ class RandomAgent(Agent):
     """Uniform over the ``L + 1`` actions; the floor baseline."""
 
     def __init__(self, cfg: AgentConfig):
-        super().__init__(cfg.agent_name)
+        super().__init__(cfg.name)
         self.cfg = cfg
 
     def begin_episode(self, task: TaskSpec, obs: Tape, seed: int) -> None:
@@ -204,7 +200,7 @@ class OracleMpcAgent(Agent):
     """MPC planner given the task's true rule; isolates model error from planning error."""
 
     def __init__(self, cfg: AgentConfig):
-        super().__init__(cfg.agent_name)
+        super().__init__(cfg.name)
         self.cfg = cfg
 
     def begin_episode(self, task: TaskSpec, obs: Tape, seed: int) -> None:
@@ -220,20 +216,23 @@ class BeliefMpcAgent(Agent):
     """MPC under the exact posterior over a fixed hypothesis rule set.
 
     ``hypothesis_rules`` is the agent's world model: rules outside it cannot
-    be represented, which is exactly what makes heldout-rule tasks hard.
+    be represented, which is exactly what makes heldout-rule tasks hard. The
+    uniform prior over them is built, and each rule checked, once; every
+    episode starts from it and every reset returns to it.
     """
 
     def __init__(self, cfg: AgentConfig, hypothesis_rules):
-        super().__init__(cfg.agent_name)
+        super().__init__(cfg.name)
         self.cfg = cfg
-        self.hypothesis_rules = tuple(hypothesis_rules)
-        if not self.hypothesis_rules:
+        hypothesis_rules = tuple(hypothesis_rules)
+        if not hypothesis_rules:
             raise ConfigError("belief agents need a non-empty hypothesis rule set")
+        self.prior = Belief.uniform(hypothesis_rules)
 
     def begin_episode(self, task: TaskSpec, obs: Tape, seed: int) -> None:
         self._rng = make_rng(seed, self.cfg.agent_seed)
         self._target = task.target
-        self.belief = Belief.uniform(self.hypothesis_rules)
+        self.belief = self.prior
 
     def act(self, obs: Tape) -> Action:
         bonus = None
@@ -245,7 +244,7 @@ class BeliefMpcAgent(Agent):
         try:
             self.belief = posterior_update(self.belief, Transition(state, action, next_state))
         except InconsistentObservationError:
-            self.belief = Belief.uniform(self.hypothesis_rules)
+            self.belief = self.prior
 
 
 class FallbackMpcAgent(BeliefMpcAgent):
@@ -279,7 +278,7 @@ class TabularQAgent(Agent):
     """
 
     def __init__(self, cfg: AgentConfig):
-        super().__init__(cfg.agent_name)
+        super().__init__(cfg.name)
         self.cfg = cfg
         self.q: dict[tuple[int, int], np.ndarray] = {}
 

@@ -17,7 +17,8 @@ Their agreement (to float noise) is a machine-checkable identity; the
 ``verify-theory`` harness entry point runs that check at scale.
 
 Entropies and divergences are reported in bits. Beliefs are immutable;
-updates return new values, so scoring many actions concurrently is safe.
+updates return new values, so an agent builds its prior once and returns
+to that same value at every episode start and every reset.
 """
 
 from __future__ import annotations

@@ -115,7 +115,7 @@ class BridgeAgent(Agent):
     """
 
     def __init__(self, cfg: AgentConfig):
-        super().__init__(cfg.agent_name)
+        super().__init__(cfg.name)
         self.cfg = cfg
         self._proc: subprocess.Popen | None = None
         self._unread = b""  # bytes read from the process past the last complete reply

@@ -65,10 +65,7 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.output_dir is not None:
         config = dataclasses.replace(config, output_dir=str(args.output_dir))
-    split = None
-    if args.split_manifest is not None:  # run the manifest's split, and record its spec as the config's
-        split = load_split_manifest(args.split_manifest)
-        config = dataclasses.replace(config, split=split.spec)
+    split = load_split_manifest(args.split_manifest) if args.split_manifest is not None else None
     manifest = run_experiment(config, split=split)
     ok = sum(1 for e in manifest.seed_table if e["status"] == "ok")
     failed = len(manifest.seed_table) - ok

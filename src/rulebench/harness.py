@@ -2,23 +2,27 @@
 
 A run executes every (agent, test task, episode) cell of its config. Cell
 seeds are ``derive_seed(base_seed, agent_name, task_index, episode_index)``,
-so adding an agent or extending a run never perturbs existing cells. Each
-agent config gets one instance, which plays its cells in canonical order;
-agents that learn across episodes (tabular Q) rely on that order, the others
-reset in ``begin_episode``. Runs are serial: the work is CPU-bound Python and
+so adding an agent or extending a run never perturbs existing cells. Agents
+run one after another in name order, and each agent config gets one
+instance, which plays its cells in (task index, episode index) order; agents
+that learn across episodes (tabular Q) rely on that order, the others reset
+in ``begin_episode``. Runs are serial: the work is CPU-bound Python and
 numpy, so a thread pool only contends for the interpreter lock. The program
 starts no threads; the bridge waits for its replies on the pipe. The config's
 ``parallelism`` field is still accepted and validated, and has no effect; the
-canonically sorted logs are byte-identical at any value.
+logs are byte-identical at any value.
 
-Outputs per run directory. Both are written to temporary files beside them
-first and only then renamed into place, so a run that fails while writing
-leaves the previous pair (or none). Only a crash or a failed rename between
-the two renames can leave a new log beside the previous manifest:
+The output directory is made before the first episode, so a path that cannot
+be a directory fails the run before any work. Each episode becomes its log
+record and its seed-table entry as it finishes, so both are built in their
+final order with no sort. Both files are written to temporary files beside
+them first and only then renamed into place, so a run that fails while
+writing leaves the previous pair (or none). Only a crash or a failed rename
+between the two renames can leave a new log beside the previous manifest:
 
 * ``episodes.jsonl`` — one JSON record per episode (the episode's fields plus
-  its ``task_index``/``episode_index`` coordinates), sorted by
-  (agent, task index, episode index), compact separators, sorted keys.
+  its ``task_index``/``episode_index`` coordinates), in (agent, task index,
+  episode index) order, compact separators, sorted keys.
 * ``manifest.json`` — config snapshot, split manifest, the full per-cell seed
   table with per-cell status, package version, and timestamps.
 
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
@@ -45,7 +49,7 @@ from .env import Action, run_episode
 from .errors import AgentError, ConfigError
 from .seeding import derive_seed, make_rng
 from .splits import Split, SplitSpec, make_split, verify_split
-from .stats import Interval, SummaryStats, ci_normal, drop_ci, summarize
+from .stats import Interval, SummaryStats, ci_normal, drop_ci, format_gap_table, format_summary_table, summarize
 
 __all__ = [
     "ExperimentConfig",
@@ -81,7 +85,7 @@ class ExperimentConfig:
             raise ConfigError("episodes_per_task must be >= 1")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
-        names = [a.agent_name for a in self.agents]
+        names = [a.name for a in self.agents]
         if not names:
             raise ConfigError("at least one agent is required")
         if len(set(names)) != len(names):
@@ -110,23 +114,6 @@ def cell_seed(base_seed: int, agent_name: str, task_index: int, episode_index: i
     return derive_seed(base_seed, agent_name, task_index, episode_index)
 
 
-def _execute_cells(agent_cfg: AgentConfig, cells, tasks, base_seed: int, hypothesis_rules):
-    """Run one agent instance over an ordered list of (task_index, episode_index) cells."""
-    agent = make_agent(agent_cfg, hypothesis_rules)
-    out = []
-    try:
-        for task_index, episode_index in cells:
-            seed = cell_seed(base_seed, agent_cfg.agent_name, task_index, episode_index)
-            try:
-                result = run_episode(tasks[task_index], agent, seed)
-                out.append((task_index, episode_index, seed, result, None))
-            except AgentError as exc:
-                out.append((task_index, episode_index, seed, None, str(exc)))
-    finally:
-        agent.close()
-    return out
-
-
 def _write_atomic(files: dict[Path, Any]) -> None:
     """Write each path's chunks to a temporary file beside it, then rename all of them into place.
 
@@ -149,42 +136,47 @@ def _write_atomic(files: dict[Path, Any]) -> None:
         raise
 
 
-def run_experiment(config: ExperimentConfig, split: Split | None = None, output_dir=None) -> RunManifest:
-    """Execute all cells, write sorted logs plus manifest, return the manifest.
+def run_experiment(config: ExperimentConfig, split: Split | None = None) -> RunManifest:
+    """Execute all cells, write the log plus manifest, return the manifest.
 
     ``split`` overrides generation from ``config.split`` (e.g. a split loaded
-    from an audited manifest); either way the split must pass verification or
-    the run aborts before any episode.
+    from an audited manifest), and the manifest records its spec as the
+    config's. Either way the split must pass verification, and the output
+    directory must be made, or the run aborts before any episode.
     """
     started = datetime.now(timezone.utc).isoformat()
     if split is None:
         split = make_split(config.split)
+    else:
+        config = replace(config, split=split.spec)
     report = verify_split(split.train_tasks, split.test_tasks, split.spec)
     if not report.ok:
         raise ConfigError("split verification failed: " + "; ".join(report.violations))
-
-    tasks = split.test_tasks
-    cells = [(ti, ei) for ti in range(len(tasks)) for ei in range(config.episodes_per_task)]
-    outcomes = [
-        (agent_cfg.agent_name, _execute_cells(agent_cfg, cells, tasks, config.base_seed, split.train_rules))
-        for agent_cfg in config.agents
-    ]
+    out_dir = Path(config.output_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
 
     records = []
     seed_table = []
-    for agent_name, cell_results in outcomes:
-        for task_index, episode_index, seed, result, error in cell_results:
-            entry = {"agent": agent_name, "task_index": task_index, "episode_index": episode_index, "seed": seed}
-            entry["status"] = "ok" if error is None else f"failed: {error}"
-            seed_table.append(entry)
-            if result is not None:
-                record = result.to_record()
-                record["task_index"] = task_index
-                record["episode_index"] = episode_index
-                records.append(record)
-
-    records.sort(key=lambda r: (r["agent"], r["task_index"], r["episode_index"]))
-    seed_table.sort(key=lambda e: (e["agent"], e["task_index"], e["episode_index"]))
+    for agent_cfg in sorted(config.agents, key=lambda a: a.name):
+        agent = make_agent(agent_cfg, split.train_rules)
+        try:
+            for task_index, task in enumerate(split.test_tasks):
+                for episode_index in range(config.episodes_per_task):
+                    seed = cell_seed(config.base_seed, agent_cfg.name, task_index, episode_index)
+                    entry = {"agent": agent_cfg.name, "task_index": task_index, "episode_index": episode_index,
+                             "seed": seed, "status": "ok"}
+                    try:
+                        result = run_episode(task, agent, seed)
+                    except AgentError as exc:
+                        entry["status"] = f"failed: {exc}"
+                    else:
+                        records.append(dict(result.to_record(), task_index=task_index, episode_index=episode_index))
+                    seed_table.append(entry)
+        finally:
+            agent.close()
 
     manifest = RunManifest(
         name=config.name,
@@ -195,9 +187,6 @@ def run_experiment(config: ExperimentConfig, split: Split | None = None, output_
         started_at=started,
         finished_at=datetime.now(timezone.utc).isoformat(),
     )
-
-    out_dir = Path(output_dir if output_dir is not None else config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic({
         out_dir / EPISODE_LOG: (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n" for record in records),
         out_dir / MANIFEST_FILE: [json.dumps(to_json(manifest), indent=2, sort_keys=True) + "\n"],
@@ -247,8 +236,7 @@ def gap_report(id_records, ood_records) -> tuple[list[tuple[str, float, float, f
             continue
         drop, interval = drop_ci(id_stats[agent], ood_stats[agent])
         rows.append((agent, id_stats[agent].mean, ood_stats[agent].mean, drop, interval))
-    rows.sort(key=lambda row: (-row[3], row[0]))
-    return rows, warnings
+    return sorted(rows, key=lambda row: (-row[3], row[0])), warnings
 
 
 def _discover_runs(log_dir) -> list[tuple[RunManifest, list[dict[str, Any]]]]:
@@ -264,49 +252,38 @@ def _discover_runs(log_dir) -> list[tuple[RunManifest, list[dict[str, Any]]]]:
     return runs
 
 
-def _run_protocol(manifest: RunManifest) -> str:
-    return manifest.split["spec"]["protocol"]
-
-
 def render_report(log_dir, mode: str, fmt: str = "text") -> tuple[str, list[str]]:
     """Assemble a report from a run directory (or a directory of runs).
 
     ``id``/``ood`` summarize success per agent; ``gap`` pairs one in-distribution
     run with one holdout run found under ``log_dir`` and reports drops.
     """
-    from .stats import format_gap_table, format_summary_table
-
     if mode not in ("id", "ood", "gap"):
         raise ConfigError(f"mode must be one of id/ood/gap, got {mode!r}")
-    runs = _discover_runs(log_dir)
-    warnings: list[str] = []
+    table = format_gap_table if mode == "gap" else format_summary_table
+    runs = [(manifest.name, manifest.split["spec"]["protocol"], rows) for manifest, rows in _discover_runs(log_dir)]
     if not runs:
-        warnings.append(f"no runs found under {log_dir}")
-        empty = format_summary_table([], fmt) if mode in ("id", "ood") else format_gap_table([], fmt)
-        return empty, warnings
+        return table([], fmt), [f"no runs found under {log_dir}"]
 
-    if mode in ("id", "ood"):
+    warnings: list[str] = []
+    if mode != "gap":
         records = []
-        for manifest, rows in runs:
-            protocol = _run_protocol(manifest)
-            if mode == "id" and protocol != "id":
-                warnings.append(f"run {manifest.name!r} has protocol {protocol!r} in an id report")
-            if mode == "ood" and protocol == "id":
-                warnings.append(f"run {manifest.name!r} has protocol 'id' in an ood report")
+        for name, protocol, rows in runs:
+            if (protocol == "id") != (mode == "id"):
+                warnings.append(f"run {name!r} has protocol {protocol!r} in an {mode} report")
             records.extend(rows)
         if not records:
             warnings.append("no episode records found")
-            return format_summary_table([], fmt), warnings
-        return format_summary_table(summary_report(records), fmt), warnings
+        return table(summary_report(records), fmt), warnings
 
-    id_records = [r for manifest, rows in runs if _run_protocol(manifest) == "id" for r in rows]
-    ood_records = [r for manifest, rows in runs if _run_protocol(manifest) != "id" for r in rows]
+    id_records = [r for _, protocol, rows in runs if protocol == "id" for r in rows]
+    ood_records = [r for _, protocol, rows in runs if protocol != "id" for r in rows]
     if not id_records:
         warnings.append("no in-distribution run found for the gap report")
     if not ood_records:
         warnings.append("no holdout run found for the gap report")
     rows, gap_warnings = gap_report(id_records, ood_records)
-    return format_gap_table(rows, fmt), warnings + gap_warnings
+    return table(rows, fmt), warnings + gap_warnings
 
 
 # --- identity verification ---------------------------------------------------

@@ -289,46 +289,31 @@ def _fmt(x: float) -> str:
 
 def format_summary_table(rows: Sequence[tuple[str, SummaryStats, Interval]], fmt: str = "text") -> str:
     """Render (agent, stats, interval) rows as aligned text or CSV."""
-    if fmt == "csv":
-        lines = ["agent,mean,std,n,ci_lo,ci_hi"]
-        for name, stats, ci in rows:
-            lines.append(f"{name},{_fmt(stats.mean)},{_fmt(stats.std)},{stats.n},{_fmt(ci.lo)},{_fmt(ci.hi)}")
-        return "\n".join(lines)
-    if fmt != "text":
-        raise DomainError(f"fmt must be 'text' or 'csv', got {fmt!r}")
-    header = ("agent", "mean", "std", "n", "95% CI")
-    body = [
-        (name, _fmt(stats.mean), _fmt(stats.std), str(stats.n), f"[{_fmt(ci.lo)}, {_fmt(ci.hi)}]")
-        for name, stats, ci in rows
-    ]
-    return _align(header, body)
+    cells = [(name, _fmt(stats.mean), _fmt(stats.std), str(stats.n), ci) for name, stats, ci in rows]
+    return _table(("agent", "mean", "std", "n"), "95% CI", cells, fmt)
 
 
 def format_gap_table(rows: Sequence[tuple[str, float, float, float, Interval]], fmt: str = "text") -> str:
     """Render (agent, id mean, ood mean, drop, interval) rows."""
+    cells = [(name, _fmt(id_mean), _fmt(ood_mean), _fmt(drop), ci) for name, id_mean, ood_mean, drop, ci in rows]
+    return _table(("agent", "id_mean", "ood_mean", "drop"), "95% CI (drop)", cells, fmt)
+
+
+def _table(columns: tuple[str, ...], ci_label: str, rows: list[tuple], fmt: str) -> str:
+    """Rows of cell strings ending in an interval, under ``columns``.
+
+    CSV gives the interval two columns, ``ci_lo`` and ``ci_hi``. Text gives it
+    one ``[lo, hi]`` column headed ``ci_label``, left-aligns the first column
+    and right-aligns the rest.
+    """
     if fmt == "csv":
-        lines = ["agent,id_mean,ood_mean,drop,ci_lo,ci_hi"]
-        for name, id_mean, ood_mean, drop, ci in rows:
-            lines.append(
-                f"{name},{_fmt(id_mean)},{_fmt(ood_mean)},{_fmt(drop)},{_fmt(ci.lo)},{_fmt(ci.hi)}"
-            )
-        return "\n".join(lines)
+        lines = [columns + ("ci_lo", "ci_hi")] + [(*cells, _fmt(ci.lo), _fmt(ci.hi)) for *cells, ci in rows]
+        return "\n".join(",".join(line) for line in lines)
     if fmt != "text":
         raise DomainError(f"fmt must be 'text' or 'csv', got {fmt!r}")
-    header = ("agent", "id_mean", "ood_mean", "drop", "95% CI (drop)")
-    body = [
-        (name, _fmt(id_mean), _fmt(ood_mean), _fmt(drop), f"[{_fmt(ci.lo)}, {_fmt(ci.hi)}]")
-        for name, id_mean, ood_mean, drop, ci in rows
-    ]
-    return _align(header, body)
-
-
-def _align(header: tuple[str, ...], body: list[tuple[str, ...]]) -> str:
-    widths = [len(h) for h in header]
-    for row in body:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    lines = []
-    for row in [header] + body:
-        cells = [cell.ljust(w) if i == 0 else cell.rjust(w) for i, (cell, w) in enumerate(zip(row, widths))]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines)
+    lines = [columns + (ci_label,)] + [(*cells, f"[{_fmt(ci.lo)}, {_fmt(ci.hi)}]") for *cells, ci in rows]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "\n".join(
+        "  ".join(cell.ljust(w) if i == 0 else cell.rjust(w) for i, (cell, w) in enumerate(zip(line, widths))).rstrip()
+        for line in lines
+    )

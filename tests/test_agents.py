@@ -295,7 +295,7 @@ class TestStatisticalOrdering:
         def successes(cfg):
             agent = make_agent(cfg, split.train_rules)
             return [
-                run_episode(task, agent, cell_seed(42, cfg.agent_name, ti, ei)).success
+                run_episode(task, agent, cell_seed(42, cfg.name, ti, ei)).success
                 for ti, task in enumerate(split.test_tasks)
                 for ei in range(episodes)
             ]

@@ -61,7 +61,7 @@ class TestRunExperiment:
     def test_seed_table_covers_exactly_the_cells(self, tmp_path):
         cfg = small_config(tmp_path / "run")
         manifest = run_experiment(cfg)
-        expected = {(a.agent_name, ti, ei)
+        expected = {(a.name, ti, ei)
                     for a in cfg.agents for ti in range(3) for ei in range(cfg.episodes_per_task)}
         entries = {(e["agent"], e["task_index"], e["episode_index"]) for e in manifest.seed_table}
         assert entries == expected
@@ -76,6 +76,27 @@ class TestRunExperiment:
         ok = {(e["agent"], e["task_index"], e["episode_index"])
               for e in manifest.seed_table if e["status"] == "ok"}
         assert logged == ok
+
+    def test_outputs_are_in_agent_task_episode_order(self, tmp_path):
+        by_name = (AgentConfig(kind="belief_mpc", plan_horizon=2, rollout_budget=16),
+                   AgentConfig(kind="random"), AgentConfig(kind="tabular_q"))
+        listed_reversed = small_config(tmp_path / "reversed", agents=by_name[::-1])
+        manifest = run_experiment(listed_reversed)
+        run_experiment(dataclasses.replace(listed_reversed, agents=by_name, output_dir=str(tmp_path / "sorted")))
+        cells = [(e["agent"], e["task_index"], e["episode_index"]) for e in manifest.seed_table]
+        assert cells == sorted(cells) and len(cells) == 3 * 3 * 3
+        log = (tmp_path / "reversed" / "episodes.jsonl").read_bytes()
+        assert log == (tmp_path / "sorted" / "episodes.jsonl").read_bytes()
+        _, records = load_run(tmp_path / "reversed")
+        assert [(r["agent"], r["task_index"], r["episode_index"]) for r in records] == cells
+
+    def test_given_split_is_recorded_as_the_configs(self, tmp_path):
+        cfg = small_config(tmp_path / "run")
+        split = make_split(dataclasses.replace(cfg.split, split_seed=99))
+        manifest = run_experiment(cfg, split=split)
+        assert manifest.config["split"] == manifest.split["spec"]
+        written = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert written["config"]["split"]["split_seed"] == written["split"]["spec"]["split_seed"] == 99
 
     def test_adding_an_agent_leaves_other_seeds_alone(self):
         assert cell_seed(77, "random", 1, 2) == cell_seed(77, "random", 1, 2)
@@ -92,7 +113,7 @@ class TestRunExperiment:
         real_make_agent = make_agent
 
         def patched(cfg, rules=()):
-            if cfg.agent_name == "crashy":
+            if cfg.name == "crashy":
                 return CrashingAgent("crashy")
             return real_make_agent(cfg, rules)
 
@@ -381,6 +402,28 @@ class TestCli:
     def test_bad_command_line_is_validation_failure(self, capsys, argv, message):
         assert cli_main(argv) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rules,message", [
+        ("30,300", "rule must be in [0, 255], got 300"),
+        ("30,30", "belief support must not contain duplicates"),
+    ])
+    def test_bad_belief_rules_refused_before_serving(self, monkeypatch, capsys, rules, message):
+        served = []
+        monkeypatch.setattr("rulebench.bridge.serve", served.append)
+        assert cli_main(["bridge-serve", "belief_mpc", "--rules", rules]) == 1
+        assert message in capsys.readouterr().err
+        assert served == []
+
+    def test_unmakeable_output_dir_refused_before_any_episode(self, tmp_path, monkeypatch, capsys):
+        config_path = self.write_config(tmp_path)
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        episodes = []
+        real_run_episode = harness.run_episode
+        monkeypatch.setattr(harness, "run_episode", lambda *args: episodes.append(args) or real_run_episode(*args))
+        assert cli_main(["run", str(config_path), "--output-dir", str(blocker / "run")]) == 1
+        assert f"cannot create output directory {blocker / 'run'}" in capsys.readouterr().err
+        assert episodes == []
 
     def test_agent_config_file_must_hold_an_object(self, tmp_path, capsys):
         path = tmp_path / "agent.json"
