@@ -2,7 +2,7 @@
 
 Subcommands::
 
-  rulebench run <config.json> [--output-dir DIR] [--split-manifest FILE]
+  rulebench run <config.json> [--output-dir DIR] [--split-manifest FILE] [--force]
   rulebench report <log_dir> --mode {id,ood,gap} [--fmt {text,csv}]
   rulebench verify-theory [--trials N] [--seed S]
   rulebench verify-split <manifest.json>    (a split manifest or a run's manifest.json)
@@ -23,7 +23,7 @@ from pathlib import Path
 from .agents import AgentConfig, make_agent
 from .codec import from_json
 from .errors import ConfigError, DomainError
-from .harness import load_config, render_report, run_experiment, verify_theory
+from .harness import EPISODE_LOG, MANIFEST_FILE, load_config, render_report, run_experiment, verify_theory
 from .splits import load_split_manifest, verify_split
 
 EXIT_OK = 0
@@ -40,6 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--output-dir", type=Path, default=None)
     run_p.add_argument("--split-manifest", type=Path, default=None,
                        help="run against a previously generated split manifest instead of regenerating")
+    run_p.add_argument("--force", action="store_true", help="replace the run already in the output directory")
 
     report_p = sub.add_parser("report", help="render tables from run logs")
     report_p.add_argument("log_dir", type=Path)
@@ -65,6 +66,10 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.output_dir is not None:
         config = dataclasses.replace(config, output_dir=str(args.output_dir))
+    for name in (EPISODE_LOG, MANIFEST_FILE):
+        path = Path(config.output_dir) / name
+        if path.exists() and not args.force:
+            raise ConfigError(f"{path} already exists; pass --force to replace the run")
     split = load_split_manifest(args.split_manifest) if args.split_manifest is not None else None
     manifest = run_experiment(config, split=split)
     ok = sum(1 for e in manifest.seed_table if e["status"] == "ok")

@@ -1,16 +1,22 @@
-"""Experiment orchestration: seeded serial runs, logs, reports, theory checks.
+"""Experiment orchestration: seeded runs, logs, reports, theory checks.
 
 A run executes every (agent, test task, episode) cell of its config. Cell
 seeds are ``derive_seed(base_seed, agent_name, task_index, episode_index)``,
-so adding an agent or extending a run never perturbs existing cells. Agents
-run one after another in name order, and each agent config gets one
-instance, which plays its cells in (task index, episode index) order; agents
-that learn across episodes (tabular Q) rely on that order, the others reset
-in ``begin_episode``. Runs are serial: the work is CPU-bound Python and
-numpy, so a thread pool only contends for the interpreter lock. The program
-starts no threads; the bridge waits for its replies on the pipe. The config's
-``parallelism`` field is still accepted and validated, and has no effect; the
-logs are byte-identical at any value.
+so adding an agent or extending a run never perturbs existing cells. Each
+agent config gets one instance, which plays its cells in (task index,
+episode index) order; agents that learn across episodes (tabular Q) rely on
+that order, the others reset in ``begin_episode``. Agent configs are
+independent units, so the config's ``parallelism`` is the number of worker
+processes that play them, capped by the CPU count and the number of agent
+configs. With one worker the agents run one after another in this process,
+and the program starts no threads. With more, a process pool forks the
+workers (POSIX only, like the bridge's pipes; forking spares each worker the
+numpy import), and the pool's management thread and task-queue feeder are
+the only threads. Either way the results are
+concatenated in agent-name order, so the logs are byte-identical at any
+``parallelism``; an exception other than ``AgentError`` in any agent aborts
+the run before anything is written. Threads would not help: the work is CPU-bound Python and
+numpy, and they contend for the interpreter lock.
 
 The output directory is made before the first episode, so a path that cannot
 be a directory fails the run before any work. Each episode becomes its log
@@ -37,6 +43,7 @@ import json
 import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -78,7 +85,7 @@ class ExperimentConfig:
     episodes_per_task: int
     base_seed: int
     output_dir: str
-    parallelism: int = 1
+    parallelism: int = 1  # worker processes playing agent configs, capped by CPUs and agent configs
 
     def __post_init__(self) -> None:
         if self.episodes_per_task < 1:
@@ -136,6 +143,33 @@ def _write_atomic(files: dict[Path, Any]) -> None:
         raise
 
 
+def _play(agent_cfg: AgentConfig, split: Split, base_seed: int, episodes_per_task: int):
+    """One agent config's (log records, seed-table entries), its cells played in (task, episode) order.
+
+    A cell whose agent raises :class:`AgentError` is recorded as failed and the
+    agent plays on; any other exception aborts the run.
+    """
+    records = []
+    seed_table = []
+    agent = make_agent(agent_cfg, split.train_rules)
+    try:
+        for task_index, task in enumerate(split.test_tasks):
+            for episode_index in range(episodes_per_task):
+                seed = cell_seed(base_seed, agent_cfg.name, task_index, episode_index)
+                entry = {"agent": agent_cfg.name, "task_index": task_index, "episode_index": episode_index,
+                         "seed": seed, "status": "ok"}
+                try:
+                    result = run_episode(task, agent, seed)
+                except AgentError as exc:
+                    entry["status"] = f"failed: {exc}"
+                else:
+                    records.append(dict(result.to_record(), task_index=task_index, episode_index=episode_index))
+                seed_table.append(entry)
+    finally:
+        agent.close()
+    return records, seed_table
+
+
 def run_experiment(config: ExperimentConfig, split: Split | None = None) -> RunManifest:
     """Execute all cells, write the log plus manifest, return the manifest.
 
@@ -158,25 +192,24 @@ def run_experiment(config: ExperimentConfig, split: Split | None = None) -> RunM
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
 
+    agents = sorted(config.agents, key=lambda a: a.name)
+    play = partial(_play, split=split, base_seed=config.base_seed, episodes_per_task=config.episodes_per_task)
+    workers = min(config.parallelism, os.cpu_count() or 1, len(agents))
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Fork, because a spawned worker imports numpy again (~0.2 s). The pool forks all
+        # its workers before it starts its own threads, and the program has no others.
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(play, agents))
+    else:
+        results = map(play, agents)
     records = []
     seed_table = []
-    for agent_cfg in sorted(config.agents, key=lambda a: a.name):
-        agent = make_agent(agent_cfg, split.train_rules)
-        try:
-            for task_index, task in enumerate(split.test_tasks):
-                for episode_index in range(config.episodes_per_task):
-                    seed = cell_seed(config.base_seed, agent_cfg.name, task_index, episode_index)
-                    entry = {"agent": agent_cfg.name, "task_index": task_index, "episode_index": episode_index,
-                             "seed": seed, "status": "ok"}
-                    try:
-                        result = run_episode(task, agent, seed)
-                    except AgentError as exc:
-                        entry["status"] = f"failed: {exc}"
-                    else:
-                        records.append(dict(result.to_record(), task_index=task_index, episode_index=episode_index))
-                    seed_table.append(entry)
-        finally:
-            agent.close()
+    for agent_records, entries in results:
+        records += agent_records
+        seed_table += entries
 
     manifest = RunManifest(
         name=config.name,
@@ -231,7 +264,7 @@ def gap_report(id_records, ood_records) -> tuple[list[tuple[str, float, float, f
     rows = []
     for agent in sorted(set(id_stats) | set(ood_stats)):
         if agent not in id_stats or agent not in ood_stats:
-            side = "ood" if agent not in id_stats else "id"
+            side = "id" if agent not in id_stats else "ood"
             warnings.append(f"agent {agent!r} missing from the {side} logs; omitted from the gap table")
             continue
         drop, interval = drop_ci(id_stats[agent], ood_stats[agent])

@@ -2,7 +2,9 @@
 
 A refactor or optimization that claims to keep behaviour must keep these
 digests. A deliberate change to the log schema or to an agent's decisions
-re-pins them in the same change and says why.
+re-pins them in the same change and says why. At parallelism 2 desk plays
+in a process pool whatever the host's CPU count, so the digests also pin
+the pool's output order.
 """
 
 import dataclasses
@@ -27,9 +29,11 @@ GOLDEN = {
 
 @pytest.mark.parametrize("parallelism", [1, 2])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_episode_log_digest(name, parallelism, tmp_path):
+def test_episode_log_digest(name, parallelism, tmp_path, pools):
     filename, overrides, digest = GOLDEN[name]
     config = dataclasses.replace(load_config(CONFIGS / filename), output_dir=str(tmp_path),
                                  parallelism=parallelism, **overrides)
     run_experiment(config)
     assert hashlib.sha256((tmp_path / "episodes.jsonl").read_bytes()).hexdigest() == digest
+    workers = min(parallelism, len(config.agents))  # smoke has one agent, desk six
+    assert pools == ([workers] if workers > 1 else [])

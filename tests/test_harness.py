@@ -43,14 +43,33 @@ def small_config(output_dir, parallelism=1, agents=None) -> ExperimentConfig:
 
 
 class TestRunExperiment:
-    def test_parallelism_does_not_change_logs(self, tmp_path):
-        cfg1 = small_config(tmp_path / "p1", parallelism=1)
+    def test_parallelism_does_not_change_logs(self, tmp_path, pools):
+        agents = (AgentConfig(kind="random"), AgentConfig(kind="tabular_q"),
+                  AgentConfig(kind="belief_mpc", plan_horizon=2, rollout_budget=16))
+        cfg1 = small_config(tmp_path / "p1", parallelism=1, agents=agents)
         cfg8 = dataclasses.replace(cfg1, parallelism=8, output_dir=str(tmp_path / "p8"))
-        run_experiment(cfg1)
-        run_experiment(cfg8)
+        serial = run_experiment(cfg1)
+        pooled = run_experiment(cfg8)
+        assert pools == [3]  # capped by the agent configs
+        assert pooled.seed_table == serial.seed_table
         log1 = (tmp_path / "p1" / "episodes.jsonl").read_bytes()
         log8 = (tmp_path / "p8" / "episodes.jsonl").read_bytes()
         assert log1 == log8
+
+    def test_one_agent_starts_no_pool(self, tmp_path, pools):
+        run_experiment(small_config(tmp_path / "run", parallelism=4, agents=(AgentConfig(kind="random"),)))
+        assert pools == []
+        assert (tmp_path / "run" / "episodes.jsonl").exists()
+
+    def test_failed_bridge_cells_are_the_same_in_the_pool(self, tmp_path, pools):
+        agents = (AgentConfig(kind="random"),
+                  AgentConfig(kind="bridge", name="absent", bridge_command=(str(tmp_path / "no-such-agent"),)))
+        serial = run_experiment(small_config(tmp_path / "p1", agents=agents))
+        pooled = run_experiment(small_config(tmp_path / "p2", parallelism=2, agents=agents))
+        assert pools == [2]
+        assert pooled.seed_table == serial.seed_table
+        statuses = {e["agent"]: e["status"] for e in pooled.seed_table}
+        assert statuses["random"] == "ok" and statuses["absent"].startswith("failed: agent 'absent' failed to start")
 
     def test_rerun_reproduces_seed_table(self, tmp_path):
         cfg = small_config(tmp_path / "a")
@@ -248,8 +267,8 @@ class TestReports:
         assert len(lines) == 2  # header plus exactly one shared agent
         assert lines[1].startswith("shared")
         assert "0.750" in lines[1] and "0.250" in lines[1] and "0.500" in lines[1]
-        assert len(warnings) == 2
-        assert any("only-id" in w for w in warnings) and any("only-ood" in w for w in warnings)
+        assert warnings == ["agent 'only-id' missing from the ood logs; omitted from the gap table",
+                            "agent 'only-ood' missing from the id logs; omitted from the gap table"]
 
     def test_empty_directory_gives_empty_table_and_warnings(self, tmp_path):
         text, warnings = render_report(tmp_path, "id")
@@ -424,6 +443,39 @@ class TestCli:
         assert cli_main(["run", str(config_path), "--output-dir", str(blocker / "run")]) == 1
         assert f"cannot create output directory {blocker / 'run'}" in capsys.readouterr().err
         assert episodes == []
+
+    @pytest.mark.parametrize("name", ["episodes.jsonl", "manifest.json"])
+    def test_run_refuses_a_directory_holding_a_run(self, tmp_path, monkeypatch, capsys, name):
+        config_path = self.write_config(tmp_path)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / name).write_text("previous\n")
+        episodes = []
+        monkeypatch.setattr(harness, "run_episode", lambda *args: episodes.append(args))
+        assert cli_main(["run", str(config_path)]) == 1
+        assert f"{tmp_path / 'out' / name} already exists; pass --force" in capsys.readouterr().err
+        assert episodes == []
+        assert (tmp_path / "out" / name).read_text() == "previous\n"
+
+    def test_force_replaces_a_run_and_an_empty_directory_is_used(self, tmp_path, capsys):
+        config_path = self.write_config(tmp_path)
+        (tmp_path / "out").mkdir()
+        assert cli_main(["run", str(config_path)]) == 0
+        log = (tmp_path / "out" / "episodes.jsonl").read_bytes()
+        (tmp_path / "out" / "episodes.jsonl").write_text("")
+        assert cli_main(["run", str(config_path), "--force"]) == 0
+        assert (tmp_path / "out" / "episodes.jsonl").read_bytes() == log
+
+    def test_fault_in_a_worker_is_runtime_failure_with_no_outputs(self, tmp_path, monkeypatch, capsys, pools):
+        def broken(task, agent, seed):
+            raise KeyError(f"synthetic fault in {agent.name}")
+
+        monkeypatch.setattr(harness, "run_episode", broken)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(to_json(small_config(tmp_path / "out", parallelism=2))))
+        assert cli_main(["run", str(config_path)]) == 2
+        assert "runtime failure: 'synthetic fault in belief_mpc'" in capsys.readouterr().err
+        assert pools == [2]
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_agent_config_file_must_hold_an_object(self, tmp_path, capsys):
         path = tmp_path / "agent.json"
