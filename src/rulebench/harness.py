@@ -12,11 +12,11 @@ configs. With one worker the agents run one after another in this process,
 and the program starts no threads. With more, a process pool forks the
 workers (POSIX only, like the bridge's pipes; forking spares each worker the
 numpy import), and the pool's management thread and task-queue feeder are
-the only threads. Either way the results are
-concatenated in agent-name order, so the logs are byte-identical at any
-``parallelism``; an exception other than ``AgentError`` in any agent aborts
-the run before anything is written. Threads would not help: the work is CPU-bound Python and
-numpy, and they contend for the interpreter lock.
+the only threads. Either way the results are concatenated in agent-name
+order, so the logs are byte-identical at any ``parallelism``, and an
+exception other than ``AgentError`` in any agent aborts the run before
+anything is written. Threads would not help: the work is CPU-bound Python
+and numpy, and they contend for the interpreter lock.
 
 The output directory is made before the first episode, so a path that cannot
 be a directory fails the run before any work. Each episode becomes its log
@@ -146,8 +146,7 @@ def _write_atomic(files: dict[Path, Any]) -> None:
 def _play(agent_cfg: AgentConfig, split: Split, base_seed: int, episodes_per_task: int):
     """One agent config's (log records, seed-table entries), its cells played in (task, episode) order.
 
-    A cell whose agent raises :class:`AgentError` is recorded as failed and the
-    agent plays on; any other exception aborts the run.
+    An :class:`AgentError` fails its cell only; any other exception aborts the run.
     """
     records = []
     seed_table = []
