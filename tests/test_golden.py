@@ -24,6 +24,9 @@ GOLDEN = {
     # desk at 5 episodes per task: the shape and digest the desk benchmark workload pins
     "desk": ("desk.json", {"episodes_per_task": 5},
              "0a792dac059076f79ce496cb63e7bccafbef1037cb1374252d4465a7e0bd954f"),
+    # default at 1 episode per task: the only golden run on L=16 tapes
+    "default": ("default.json", {"episodes_per_task": 1},
+                "d04cac0a64a168345b0d9c9d4ea8009ccca564c68fec664819058d8467939cdd"),
 }
 
 
@@ -35,5 +38,5 @@ def test_episode_log_digest(name, parallelism, tmp_path, pools):
                                  parallelism=parallelism, **overrides)
     run_experiment(config)
     assert hashlib.sha256((tmp_path / "episodes.jsonl").read_bytes()).hexdigest() == digest
-    workers = min(parallelism, len(config.agents))  # smoke has one agent, desk six
+    workers = min(parallelism, len(config.agents))  # smoke has one agent, desk six, default five
     assert pools == ([workers] if workers > 1 else [])
