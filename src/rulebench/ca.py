@@ -11,8 +11,15 @@ Tapes are stored as plain integers (cell ``i`` is bit ``i``). One step is a
 bit-parallel expression over the tape word and its two rotations, so the
 same code steps a single Python-int tape or numpy arrays of tapes and rules
 broadcast against each other (see :func:`as_words`); the planners and the
-belief layer step every rollout or hypothesis in one call. All functions
-here are pure; ``Tape`` values are immutable and hashable.
+belief layer step every rollout or hypothesis in one call. That expression
+is the only definition of the dynamics. ``uint64`` tape arrays of at most
+``TABLE_MAX_LENGTH`` (10) cells are stepped by one gather from a transition
+table instead: every rule's step of every tape of that length, shape
+``(256, 2**length)``, which the expression builds in one vectorized call the
+first time a length and boundary are stepped and which is then kept for the
+life of the process (0.5 MB at 8 cells, 2 MB at 10). Python-int tapes,
+``object`` arrays and longer tapes run the expression on every call. All
+functions here are pure; ``Tape`` values are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .errors import DomainError
 __all__ = [
     "BOUNDARIES",
     "MIN_LENGTH",
+    "TABLE_MAX_LENGTH",
     "Tape",
     "as_words",
     "decode_rule",
@@ -38,6 +46,7 @@ __all__ = [
 ]
 
 MIN_LENGTH = 3  # a neighborhood needs three cells
+TABLE_MAX_LENGTH = 10  # a transition table is 256 x 2**length uint64 words: 2 MB at 10 cells
 BOUNDARIES = ("periodic", "fixed_zero")
 
 
@@ -105,22 +114,62 @@ class Tape:
 
 # Rule bit k as an all-ones (-1) or all-zeros word: the mask of minterm k = 4*left + 2*center + right.
 _RULE_MASKS = tuple(tuple(-((rule >> k) & 1) for k in range(8)) for rule in range(256))
+# The same masks as uint64 words, minterm k along axis 0 and rule along axis 1, so that
+# ``_WORD_MASKS[:, rule]`` unpacks into the eight masks of an array of rules.
+_WORD_MASKS = np.array(_RULE_MASKS).T.astype(np.uint64)
+_WORD_MASKS.flags.writeable = False
 
 
 def step_bits(bits, length: int, rule, boundary: str = "periodic"):
-    """One synchronous update of bit-packed tapes; uncached and bit-parallel.
+    """One synchronous update of bit-packed tapes.
 
     ``bits`` and ``rule`` are Python ints, or arrays from :func:`as_words`
     that broadcast against each other (say rollouts along one axis and rules
-    along the other). The update is the OR of the 8 neighborhood minterms,
-    each masked by its rule bit, computed on whole words: the tape and its
-    two neighbor rotations.
+    along the other). A ``uint64`` tape array of at most
+    :data:`TABLE_MAX_LENGTH` cells is looked up in the transition table of its
+    length and boundary; anything else is computed by the bit-parallel
+    expression. Either way the result has the broadcast shape, and a rule
+    outside [0, 255] raises :class:`DomainError`.
     """
+    words = isinstance(bits, np.ndarray) and bits.dtype == np.uint64
     if isinstance(rule, int):
         decode_rule(rule)  # range check
-        m0, m1, m2, m3, m4, m5, m6, m7 = _RULE_MASKS[rule]
+    if words and length <= TABLE_MAX_LENGTH:
+        try:
+            return _table(length, boundary)[rule, bits]
+        except IndexError:  # a rule above 255, or a tape of more than ``length`` cells
+            if not isinstance(rule, int):
+                _check_rule_array(rule)
+            raise DomainError(f"tape bits out of range for length {length}, got {int(bits.max())}") from None
+    if isinstance(rule, int):
+        masks = _WORD_MASKS[:, rule] if words else _RULE_MASKS[rule]
     else:
-        m0, m1, m2, m3, m4, m5, m6, m7 = [-((rule >> k) & 1) for k in range(8)]
+        _check_rule_array(rule)
+        masks = [-((rule >> k) & 1) for k in range(8)] if rule.dtype == object else _WORD_MASKS[:, rule]
+    return _step_words(bits, length, masks, boundary)
+
+
+def _check_rule_array(rule) -> None:
+    if rule.size and rule.max() > 255:
+        raise DomainError(f"rule must be in [0, 255], got {rule.max()}")
+
+
+@lru_cache(maxsize=None)
+def _table(length: int, boundary: str) -> np.ndarray:
+    """Every rule's step of every tape of ``length`` cells: entry ``[rule, bits]``, from one expression call."""
+    tapes = np.arange(1 << length, dtype=np.uint64)
+    table = _step_words(tapes, length, _WORD_MASKS[:, :, None], boundary)
+    table.flags.writeable = False
+    return table
+
+
+def _step_words(bits, length: int, masks, boundary: str):
+    """The bit-parallel step: the OR of the 8 neighborhood minterms, each masked by its rule bit.
+
+    ``masks`` are the rule's eight masks (see ``_RULE_MASKS``), computed on
+    whole words: the tape and its two neighbor rotations.
+    """
+    m0, m1, m2, m3, m4, m5, m6, m7 = masks
     if boundary == "periodic":
         left = (bits << 1) | (bits >> (length - 1))
         right = (bits >> 1) | ((bits & 1) << (length - 1))

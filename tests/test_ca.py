@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rulebench import DomainError, Tape, decode_rule, encode_rule, enumerate_orbit, step
-from rulebench.ca import as_words, popcount, step_bits
+from rulebench import ca
+from rulebench.ca import TABLE_MAX_LENGTH, as_words, popcount, step_bits
 
 from oracles import brute_decode, brute_orbit, brute_step, cells_from_string
 
@@ -117,11 +118,12 @@ class TestBitParallelKernel:
                 assert cells_of(got, 13) == brute_step(cells_of(bits, 13), rule, boundary), (rule, bits)
 
     @pytest.mark.parametrize("boundary", BOUNDARIES)
-    @pytest.mark.parametrize("length,dtype", [(3, np.uint64), (8, np.uint64), (13, np.uint64),
-                                              (64, np.uint64), (100, object)])
+    @pytest.mark.parametrize("length,dtype", [(n, np.uint64) for n in range(3, 12)]
+                             + [(13, np.uint64), (64, np.uint64), (100, object)])
     def test_array_matches_oracle_all_rules(self, length, dtype, boundary):
+        """Every tape up to the table gate (table path), sampled tapes above it (expression)."""
         rng = np.random.default_rng(length)
-        if length <= 8:
+        if length <= TABLE_MAX_LENGTH:
             tapes = list(range(1 << length))
         else:
             full = (1 << length) - 1
@@ -131,9 +133,40 @@ class TestBitParallelKernel:
         assert words.dtype == dtype
         got = step_bits(words[None, :], length, as_words(range(256), length)[:, None], boundary)
         assert got.shape == (256, len(tapes)) and got.dtype == dtype
+        # the expression on Python ints: an object array takes neither the table nor the word masks
+        expression = step_bits(words.astype(object)[None, :], length, np.arange(256, dtype=object)[:, None], boundary)
+        assert got.tolist() == expression.tolist()
+        cells = [cells_of(bits, length) for bits in tapes]
+        weights = [1 << i for i in range(length)]
         for rule in range(256):
-            for j, bits in enumerate(tapes):
-                assert cells_of(int(got[rule, j]), length) == brute_step(cells_of(bits, length), rule, boundary)
+            expected = [sum(w * c for w, c in zip(weights, brute_step(tape_cells, rule, boundary)))
+                        for tape_cells in cells]
+            assert got[rule].tolist() == expected, rule
+
+    def test_only_short_uint64_tape_arrays_use_a_table(self, monkeypatch):
+        looked_up = []
+        table = ca._table
+        monkeypatch.setattr(ca, "_table", lambda *key: looked_up.append(key) or table(*key))
+        step_bits(5, 10, 30)
+        step_bits(as_words([5, 6], 10).astype(object), 10, 30)
+        step_bits(as_words([5, 6], 11), 11, as_words([30, 90], 11))
+        step_bits(as_words([5, 6], 16), 16, 30, "fixed_zero")
+        assert looked_up == []
+        step_bits(as_words([5, 6], 10), 10, as_words([30, 90], 10), "fixed_zero")
+        assert looked_up == [(10, "fixed_zero")]
+
+    @pytest.mark.parametrize("length", [8, 16])
+    def test_broadcast_keeps_shape_and_dtype(self, length):
+        rules = [30, 90, 110]
+        tapes = [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]
+        for tape_words in (as_words(tapes[:1], length), as_words(tapes, length)):  # (1, m) and (n, m)
+            got = step_bits(tape_words, length, as_words(rules, length)[:, None])
+            assert got.shape == (3, 4) and got.dtype == np.uint64
+            rows = tapes if len(tape_words) == 3 else tapes[:1] * 3
+            assert got.tolist() == [[step_bits(t, length, r) for t in row] for r, row in zip(rules, rows)]
+        got = step_bits(as_words(tapes, length), length, 110)
+        assert got.shape == (3, 4) and got.dtype == np.uint64
+        assert got.tolist() == [[step_bits(t, length, 110) for t in row] for row in tapes]
 
     @pytest.mark.parametrize("length", [8, 64, 100])
     def test_popcount_counts_set_cells(self, length):
@@ -143,6 +176,15 @@ class TestBitParallelKernel:
     def test_out_of_range_rule_rejected(self):
         with pytest.raises(DomainError):
             step_bits(5, 4, 256)
+
+    @pytest.mark.parametrize("length", [8, 16, 100])  # table, uint64 expression, object expression
+    def test_out_of_range_array_rule_rejected(self, length):
+        with pytest.raises(DomainError, match=r"rule must be in \[0, 255\], got 300"):
+            step_bits(as_words([5, 6], length)[None, :], length, as_words([[30], [300]], length))
+
+    def test_tape_wider_than_its_length_rejected_on_the_table_path(self):
+        with pytest.raises(DomainError, match="tape bits out of range for length 8"):
+            step_bits(as_words([5, 256], 8), 8, 30)
 
 
 class TestEnumerateOrbit:
