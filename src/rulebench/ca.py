@@ -131,9 +131,11 @@ def step_bits(bits, length: int, rule, boundary: str = "periodic"):
     expression. Either way the result has the broadcast shape, and a rule
     outside [0, 255] raises :class:`DomainError`.
     """
-    words = isinstance(bits, np.ndarray) and bits.dtype == np.uint64
     if isinstance(rule, int):
         decode_rule(rule)  # range check
+        if isinstance(bits, int):  # the env's one-tape step, kept free of the array checks below
+            return _step_words(bits, length, _RULE_MASKS[rule], boundary)
+    words = isinstance(bits, np.ndarray) and bits.dtype == np.uint64
     if words and length <= TABLE_MAX_LENGTH:
         try:
             return _table(length, boundary)[rule, bits]

@@ -157,16 +157,14 @@ class TestBitParallelKernel:
 
     @pytest.mark.parametrize("length", [8, 16])
     def test_broadcast_keeps_shape_and_dtype(self, length):
-        rules = [30, 90, 110]
-        tapes = [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]
-        for tape_words in (as_words(tapes[:1], length), as_words(tapes, length)):  # (1, m) and (n, m)
-            got = step_bits(tape_words, length, as_words(rules, length)[:, None])
+        rules = as_words([30, 90, 110], length)[:, None]
+        grid = as_words([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]], length)
+        for tapes, rule in ((grid[:1], rules), (grid, rules), (grid, 110)):  # (n, 1) rules, or one int rule
+            got = step_bits(tapes, length, rule)
             assert got.shape == (3, 4) and got.dtype == np.uint64
-            rows = tapes if len(tape_words) == 3 else tapes[:1] * 3
-            assert got.tolist() == [[step_bits(t, length, r) for t in row] for r, row in zip(rules, rows)]
-        got = step_bits(as_words(tapes, length), length, 110)
-        assert got.shape == (3, 4) and got.dtype == np.uint64
-        assert got.tolist() == [[step_bits(t, length, 110) for t in row] for row in tapes]
+            expected = [[step_bits(int(t), length, int(r)) for t, r in zip(row, rule_row)]
+                        for row, rule_row in zip(*np.broadcast_arrays(tapes, rule))]
+            assert got.tolist() == expected
 
     @pytest.mark.parametrize("length", [8, 64, 100])
     def test_popcount_counts_set_cells(self, length):
