@@ -85,6 +85,8 @@ class AgentConfig:
             raise ConfigError("rollout_budget must be >= 1")
         if self.ig_weight < 0:
             raise ConfigError("ig_weight must be >= 0")
+        if not 0.0 < self.q_learning_rate <= 1.0:
+            raise ConfigError("q_learning_rate must be in (0, 1]")
         if not 0.0 <= self.q_discount < 1.0:
             raise ConfigError("q_discount must be in [0, 1)")
         if not 0.0 <= self.q_exploration <= 1.0:

@@ -23,10 +23,17 @@ wrong-typed field, is answered with ``{"v":1,"type":"error","message":...}``
 and aborts the episode in progress. The driver reads each reply from the
 child's pipe under a deadline (``select``, so POSIX only); a reply that is
 not a complete line by then fails the episode.
+
+Both ends write each message with sorted keys and no spaces. The driver
+looks up an ``act`` reply in that form in a table of the L+1 lines of the
+episode's tape length (built by parsing and decoding each line); a reply in
+any other valid JSON form is parsed and decoded as it arrives, so an external
+agent may write its JSON however it likes.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import select
@@ -46,10 +53,14 @@ __all__ = ["PROTOCOL_VERSION", "BridgeAgent", "serve"]
 PROTOCOL_VERSION = 1
 
 
-def _send(out: IO[str], kind: str, **fields: Any) -> None:
-    """Write one protocol message of type ``kind``; sorted keys fix its bytes."""
+def _line(kind: str, **fields: Any) -> str:
+    """One protocol message of type ``kind`` as its line; sorted keys fix its bytes."""
     message = {"v": PROTOCOL_VERSION, "type": kind, **fields}
-    out.write(json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n")
+    return json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _write(out: IO[str], line: str) -> None:
+    out.write(line)
     out.flush()
 
 
@@ -68,11 +79,26 @@ def _decode(message: dict[str, Any], **fields: Any) -> list[Any]:
     return [from_json(tp, message[key], key) for key, tp in fields.items()]
 
 
+@functools.cache
+def _act_lines(length: int) -> dict[Action, str]:
+    """The ``act`` line answering each of the ``length + 1`` actions on a tape of ``length`` cells."""
+    actions = (Action.from_order_index(i, length) for i in range(length + 1))
+    return {action: _line("act", action=to_json(action)) for action in actions}
+
+
+@functools.cache
+def _act_table(length: int) -> dict[bytes, Action]:
+    """Each of ``_act_lines(length)``, without its newline, -> the action it parses and decodes to."""
+    return {line[:-1].encode(): _decode(_parse(line, "response"), action=Action)[0]
+            for line in _act_lines(length).values()}
+
+
 def serve(agent: Agent, infile: IO[str] | None = None, outfile: IO[str] | None = None) -> None:
     """Host ``agent`` on a line channel until the input stream closes."""
     infile = infile if infile is not None else sys.stdin
     outfile = outfile if outfile is not None else sys.stdout
     episode: tuple[Tape, Action] | None = None  # the last observation and the action taken on it
+    replies: dict[Action, str] = {}  # the act lines of the episode's tape length
 
     for line in infile:
         if not line.strip():
@@ -84,11 +110,12 @@ def serve(agent: Agent, infile: IO[str] | None = None, outfile: IO[str] | None =
                                  f"this agent speaks {PROTOCOL_VERSION}")
             kind = message.get("type")
             if kind == "hello":
-                _send(outfile, "hello", agent=agent.name)
+                _write(outfile, _line("hello", agent=agent.name))
                 continue
             if kind == "reset":
                 task, obs, seed = _decode(message, task=TaskSpec, obs=Tape, seed=int)
                 agent.begin_episode(task, obs, seed)
+                replies = _act_lines(task.length)
                 done = False
             elif kind == "step":
                 if episode is None:
@@ -99,10 +126,10 @@ def serve(agent: Agent, infile: IO[str] | None = None, outfile: IO[str] | None =
                 raise ValueError(f"unknown request type {kind!r}")
             action = Action.no_op() if done else agent.act(obs)
             episode = None if done else (obs, action)
-            _send(outfile, "act", action=to_json(action))
+            _write(outfile, replies.get(action) or _line("act", action=to_json(action)))
         except Exception as exc:
             episode = None
-            _send(outfile, "error", message=str(exc))
+            _write(outfile, _line("error", message=str(exc)))
 
 
 class BridgeAgent(Agent):
@@ -120,6 +147,7 @@ class BridgeAgent(Agent):
         self._proc: subprocess.Popen | None = None
         self._unread = b""  # bytes read from the process past the last complete reply
         self._pending: Action | None = None
+        self._replies: dict[bytes, Action] = {}  # the act lines of the episode's tape length
 
     def _fail(self, message: str) -> None:
         self.close()
@@ -139,12 +167,18 @@ class BridgeAgent(Agent):
 
     def _request(self, kind: str, **fields: Any) -> None:
         try:
-            _send(self._proc.stdin, kind, **fields)
+            _write(self._proc.stdin, _line(kind, **fields))
         except OSError as exc:
             self._fail(f"process write failed: {exc}")
 
-    def _response(self, expect: str) -> dict[str, Any]:
-        """The next reply line, read from the pipe for at most the time left before the deadline."""
+    def _response(self, expect: str, decode: bool = True) -> Any:
+        """The next reply, read from the pipe for at most the time left before the deadline.
+
+        An ``act`` reply gives its Action: a line in ``bridge-serve``'s own form
+        is looked up in the episode's table, any other is parsed and decoded
+        (not at all if ``decode`` is false: the placeholder answering a done
+        step gives ``None``). A ``hello`` reply gives the parsed message.
+        """
         deadline = time.monotonic() + self.cfg.bridge_deadline
         fd = self._proc.stdout.fileno()
         while b"\n" not in self._unread:
@@ -156,6 +190,8 @@ class BridgeAgent(Agent):
                 self._fail("process closed its output stream")
             self._unread += chunk
         line, _, self._unread = self._unread.partition(b"\n")
+        if expect == "act" and (action := self._replies.get(line)) is not None:
+            return action
         try:
             message = _parse(line, "response")
         except ValueError as exc:
@@ -165,13 +201,16 @@ class BridgeAgent(Agent):
             self._fail(f"peer error: {message.get('message')}")
         if message.get("type") != expect:
             self._fail(f"expected {expect!r} response, got {message.get('type')!r}")
-        return message
+        if expect != "act":
+            return message
+        return _decode(message, action=Action)[0] if decode else None
 
     def begin_episode(self, task: TaskSpec, obs: Tape, seed: int) -> None:
         self._ensure_process()
         self._pending = None
+        self._replies = _act_table(task.length)
         self._request("reset", task=to_json(task), obs=str(obs), seed=seed)
-        (self._pending,) = _decode(self._response(expect="act"), action=Action)
+        self._pending = self._response(expect="act")
 
     def act(self, obs: Tape) -> Action:
         if self._pending is None:
@@ -181,9 +220,9 @@ class BridgeAgent(Agent):
 
     def observe(self, state: Tape, action: Action, reward: float, next_state: Tape, done: bool) -> None:
         self._request("step", obs=str(next_state), reward=reward, done=done)
-        reply = self._response(expect="act")
+        reply = self._response(expect="act", decode=not done)
         if not done:
-            (self._pending,) = _decode(reply, action=Action)
+            self._pending = reply
 
     def close(self) -> None:
         proc, self._proc, self._unread, self._pending = self._proc, None, b"", None
@@ -193,8 +232,15 @@ class BridgeAgent(Agent):
             proc.stdin.close()
         except OSError:
             pass
+        # The process exiting closes its output: wait in select for that end of file, not
+        # in wait()'s sleeping poll, then reap it; one that outlives 0.5 s is killed.
+        deadline = time.monotonic() + 0.5
+        fd = proc.stdout.fileno()
         try:
-            proc.wait(timeout=0.5)
+            while ((left := deadline - time.monotonic()) > 0 and select.select([fd], [], [], left)[0]
+                   and os.read(fd, 1 << 16)):
+                pass
+            proc.wait(timeout=max(0.0, deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()

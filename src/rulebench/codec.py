@@ -5,7 +5,8 @@ and lists are arrays; a :class:`~rulebench.ca.Tape` is its ``'0'/'1'`` string;
 a ``dict`` passes through; a field typed ``X | None`` is omitted while ``None``.
 Decoding refuses an unknown, missing or wrong-typed key with a
 :class:`~rulebench.errors.ConfigError` naming its path (``agents[1].plan_horizon``);
-an ``int`` refuses a boolean and a ``float`` accepts an integer. A range
+an ``int`` refuses a boolean, and a ``float`` accepts an integer but not
+``NaN`` or an infinity (which Python's ``json`` parses). A range
 check that a dataclass's constructor fails keeps its error type and is
 prefixed with the object's path (``agents[1]: plan_horizon must be >= 1``).
 Plans are built once per type.
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
+import math
 import types
 import typing
 from typing import Any, Callable
@@ -41,9 +44,13 @@ def from_json(tp: Any, data: Any, path: str = "") -> Any:
     return _decoder(tp)(data, path)
 
 
+def _named(path: str) -> str:
+    return f"config key {path}" if path else "config"
+
+
 def _wrong_type(path: str, expected: type, value: Any) -> ConfigError:
     got = _JSON_NAMES.get(type(value), type(value).__name__)
-    return ConfigError(f"{f'config key {path}' if path else 'config'} must be {_JSON_NAMES[expected]}, got {got}")
+    return ConfigError(f"{_named(path)} must be {_JSON_NAMES[expected]}, got {got}")
 
 
 def _optional(tp: Any) -> Any:
@@ -85,6 +92,8 @@ def _decoder(tp: Any) -> Callable[[Any, str], Any]:
         def decode_scalar(value, path):
             if type(value) not in accepts:
                 raise _wrong_type(path, accepts[0], value)
+            if type(value) is float and not math.isfinite(value):
+                raise ConfigError(f"{_named(path)} must be a finite number, got {json.dumps(value)}")
             return Tape.from_string(value) if tp is Tape else value
         return decode_scalar
     if origin in (tuple, list):

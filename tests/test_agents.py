@@ -245,6 +245,14 @@ class TestTabularQ:
         fields.update(overrides)
         return TabularQAgent(AgentConfig(**fields))
 
+    @pytest.mark.parametrize("rate", [-5.0, 0.0, 1.5])
+    def test_learning_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ConfigError, match=r"q_learning_rate must be in \(0, 1\]"):
+            self.q_agent(q_learning_rate=rate)
+
+    def test_learning_rate_of_one_accepted(self):
+        assert self.q_agent(q_learning_rate=1.0).cfg.q_learning_rate == 1.0
+
     def test_repeated_reward_converges_geometrically(self):
         agent = self.q_agent()
         agent.begin_episode(task_with(204, "0101"), tape("0000"), seed=0)

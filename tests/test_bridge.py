@@ -1,17 +1,21 @@
+import gc
 import io
 import json
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
 from rulebench import AgentConfig, AgentError, ExperimentConfig, SplitSpec, TaskSpec, run_experiment
 from rulebench.agents import Agent, make_agent
-from rulebench.bridge import PROTOCOL_VERSION, BridgeAgent, serve
+from rulebench import bridge
+from rulebench.bridge import PROTOCOL_VERSION, BridgeAgent, _act_table, _decode, _line, _parse, serve
 from rulebench.codec import to_json
 from rulebench.env import Action, Tape, make_target, run_episode
 from rulebench.harness import load_run
+from rulebench.seeding import derive_seed
 
 SERVE_RANDOM = (sys.executable, "-m", "rulebench.cli", "bridge-serve", "random")
 
@@ -57,10 +61,37 @@ SPLIT_REPLY_SCRIPT = (
     "        time.sleep(0.1)\n"
 )
 HALF_LINE_SCRIPT = "import sys, time\nsys.stdout.write('{\"v\": 1, ')\nsys.stdout.flush()\ntime.sleep(30)\n"
+# Answers every request with a no-op, then keeps running after its input closes: ``{after}``.
+LINGERING_SCRIPT = (
+    "import sys, json, time\n"
+    "for line in sys.stdin:\n"
+    "    hello = json.loads(line)['type'] == 'hello'\n"
+    "    print(json.dumps({{'v': 1, 'type': 'hello'}} if hello else\n"
+    "                     {{'v': 1, 'type': 'act', 'action': {{'kind': 'no_op'}}}}), flush=True)\n"
+    "{after}\n"
+)
 
 
 def script_command(body: str) -> tuple[str, ...]:
     return (sys.executable, "-c", body)
+
+
+def replying(*lines: str) -> tuple[str, ...]:
+    """A peer that answers hello in kind and every other request with the next of ``lines``, cycling."""
+    return script_command(
+        "import itertools, json, sys\n"
+        f"replies = itertools.cycle({list(lines)!r})\n"
+        "for line in sys.stdin:\n"
+        "    hello = json.loads(line)['type'] == 'hello'\n"
+        "    print(json.dumps({'v': 1, 'type': 'hello'}) if hello else next(replies), flush=True)\n"
+    )
+
+
+def count_parses(monkeypatch) -> list[bytes]:
+    """Every line the bridge parses from now on."""
+    parsed, parse = [], bridge._parse
+    monkeypatch.setattr(bridge, "_parse", lambda line, what: parsed.append(line) or parse(line, what))
+    return parsed
 
 
 def recorded_processes(monkeypatch) -> list[subprocess.Popen]:
@@ -175,7 +206,28 @@ class TestBridgeFailures:
         run_episode(demo_task(), agent, episode_seed=1)
         agent.close()
         (proc,) = started
-        assert proc.stdin.closed and proc.stdout.closed and proc.returncode is not None
+        assert proc.stdin.closed and proc.stdout.closed
+        assert proc.returncode == 0  # it exited on end of input, unkilled
+
+    @pytest.mark.parametrize("after", ["time.sleep(30)", "while True:\n    sys.stdout.write('x' * (1 << 20))"],
+                             ids=["sleeping", "writing"])
+    def test_close_kills_a_peer_that_outlives_its_input(self, monkeypatch, after):
+        started = recorded_processes(monkeypatch)
+        agent = BridgeAgent(AgentConfig(kind="bridge", name="lingering",
+                                        bridge_command=script_command(LINGERING_SCRIPT.format(after=after)),
+                                        bridge_deadline=5.0))
+        run_episode(demo_task(), agent, episode_seed=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            begun = time.monotonic()
+            agent.close()
+            took = time.monotonic() - begun
+            (proc,) = started
+            assert proc.stdin.closed and proc.stdout.closed and proc.returncode == -9
+            del proc, started[:]
+            gc.collect()
+        assert 0.5 <= took < 0.5 + 0.5
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_protocol_failure_releases_both_pipes(self, monkeypatch):
         started = recorded_processes(monkeypatch)
@@ -294,3 +346,90 @@ class TestServeLoop:
         replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
         assert [r["type"] for r in replies] == ["act", "error", "error"]
         assert "reset" in replies[2]["message"]  # episode state was dropped
+
+
+class TestReplyTable:
+    """Replies in bridge-serve's own form are found by lookup; every other form is parsed as before."""
+
+    @pytest.mark.parametrize("length", range(3, 17))
+    def test_each_entry_is_the_full_decode_of_its_line(self, length):
+        table = _act_table(length)
+        actions = [Action.from_order_index(i, length) for i in range(length + 1)]
+        assert list(table.values()) == actions
+        for action in actions:
+            line = _line("act", action=to_json(action))
+            assert line.endswith("\n")
+            key = line[:-1].encode()
+            assert table[key] == _decode(_parse(line, "response"), action=Action)[0] == action
+
+    def test_every_reply_serve_writes_is_a_table_key(self):
+        task = demo_task(length=12, horizon=32)
+        for seed in range(3):
+            # The transcript a driver would see: the served random agent plays the same episode.
+            episode = run_episode(task, make_agent(AgentConfig(kind="random")), episode_seed=seed)
+            requests = [{"v": 1, "type": "reset", "task": to_json(task), "obs": str(episode.transitions[0].state),
+                         "seed": derive_seed(seed, "agent")}]
+            requests += [{"v": 1, "type": "step", "obs": str(t.next_state), "reward": 0.5,
+                          "done": i == len(episode.transitions) - 1} for i, t in enumerate(episode.transitions)]
+            stdout = io.StringIO()
+            serve(make_agent(AgentConfig(kind="random")), io.StringIO("".join(json.dumps(r) + "\n" for r in requests)),
+                  stdout)
+            replies = stdout.getvalue().splitlines()
+            assert len(replies) == len(requests)
+            assert all(line.encode() in _act_table(task.length) for line in replies)
+            played = [_act_table(task.length)[line.encode()] for line in replies[:-1]]
+            assert played == [t.action for t in episode.transitions]
+
+    def test_driver_parses_only_the_handshake(self, monkeypatch):
+        task = demo_task(length=12, horizon=32)
+        _act_table(task.length)  # built before counting: the build parses each of its lines
+        parsed = count_parses(monkeypatch)
+        agent = BridgeAgent(AgentConfig(kind="bridge", name="random", bridge_command=SERVE_RANDOM,
+                                        bridge_deadline=30.0))
+        try:
+            steps = sum(run_episode(task, agent, episode_seed=seed).steps_used for seed in (1, 2))
+        finally:
+            agent.close()
+        assert steps > 2
+        assert len(parsed) == 1 and json.loads(parsed[0]) == {"v": 1, "type": "hello", "agent": "random"}
+
+    @pytest.mark.parametrize("form", [
+        lambda action: json.dumps({"v": 1, "type": "act", "action": action}),
+        lambda action: json.dumps({"v": 1, "type": "act", "action": action}, separators=(",", ":")),
+        lambda action: json.dumps({"action": action, "type": "act", "v": 1}, sort_keys=True,
+                                  separators=(",", ":")) + " ",
+    ], ids=["spaced", "unsorted", "trailing-space"])
+    def test_other_forms_are_parsed_to_equal_actions(self, monkeypatch, form):
+        actions = [Action.from_order_index(i, 6) for i in range(7)]
+        lines = [form(to_json(action)) for action in actions]
+        assert not {line.encode() for line in lines} & set(_act_table(6))
+        parsed = count_parses(monkeypatch)
+        agent = BridgeAgent(AgentConfig(kind="bridge", name="spaced", bridge_command=replying(*lines),
+                                        bridge_deadline=5.0))
+        obs = Tape.from_string("010101")
+        try:
+            agent.begin_episode(demo_task(length=6), obs, seed=0)
+            played = [agent.act(obs)]
+            for _ in actions[1:]:
+                agent.observe(obs, played[-1], 0.0, obs, False)
+                played.append(agent.act(obs))
+        finally:
+            agent.close()
+        assert played == actions
+        assert len(parsed) == 1 + len(actions)
+
+    @pytest.mark.parametrize("reply,message", [
+        ('{"action":{"index":6,"kind":"flip"},"type":"act","v":1}', "flip index 6 out of bounds for length 6"),
+        ('{"action":{"index":true,"kind":"flip"},"type":"act","v":1}',
+         r"config key action\.index must be an integer, got a boolean"),
+        ('{"action":{"index":-1,"kind":"flip"},"type":"act","v":1}', "flip requires a nonnegative index, got -1"),
+        ('{"action":{"index":0,"kind":"no_op"},"type":"act","v":1}', "no_op takes no index"),
+    ])
+    def test_canonical_form_outside_the_table_fails_as_before(self, reply, message):
+        agent = BridgeAgent(AgentConfig(kind="bridge", name="off-table", bridge_command=replying(reply),
+                                        bridge_deadline=5.0))
+        try:
+            with pytest.raises(AgentError, match=message):
+                run_episode(demo_task(length=6), agent, episode_seed=0)
+        finally:
+            agent.close()

@@ -362,6 +362,16 @@ class TestConfigIO:
         data["agents"][1]["ig_weight"] = 1
         assert from_json(ExperimentConfig, data).agents[1].ig_weight == 1.0
 
+    @pytest.mark.parametrize("value,spelled", [(float("nan"), "NaN"), (float("inf"), "Infinity"),
+                                               (float("-inf"), "-Infinity")])
+    def test_float_key_refuses_a_non_finite_number(self, tmp_path, value, spelled):
+        data = to_json(small_config(tmp_path / "out"))
+        data["agents"][1]["ig_weight"] = value
+        with pytest.raises(ConfigError, match=rf"^config key agents\[1\]\.ig_weight must be a finite number, got {spelled}$"):
+            from_json(ExperimentConfig, data)
+        with pytest.raises(ConfigError, match=rf"^config must be a finite number, got {spelled}$"):
+            from_json(float, value)
+
     def test_optional_keys_take_their_defaults(self, tmp_path):
         data = to_json(small_config(tmp_path / "out"))
         del data["parallelism"]
@@ -563,6 +573,13 @@ class TestCli:
         (lambda c: c["agents"].append({"kind": "belief_mpc", "plan_horizon": 0}),
          "agents[1]: plan_horizon must be >= 1"),
         (lambda c: c["split"].update(candidate_rules=[90, 300]), "split: rule must be in [0, 255], got 300"),
+        (lambda c: c["agents"].append({"kind": "tabular_q", "q_learning_rate": -5.0}),
+         "agents[1]: q_learning_rate must be in (0, 1]"),
+        # Python's json writes and reads NaN and Infinity; the config refuses them, naming the key.
+        (lambda c: c["agents"][0].update(bridge_deadline=float("nan")),
+         "config key agents[0].bridge_deadline must be a finite number, got NaN"),
+        (lambda c: c["agents"][0].update(bridge_deadline=float("inf")),
+         "config key agents[0].bridge_deadline must be a finite number, got Infinity"),
     ])
     def test_range_error_names_its_object(self, tmp_path, capsys, edit, message):
         config = json.loads((CONFIGS / "smoke.json").read_text())
