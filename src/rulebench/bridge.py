@@ -24,11 +24,10 @@ and aborts the episode in progress. The driver reads each reply from the
 child's pipe under a deadline (``select``, so POSIX only); a reply that is
 not a complete line by then fails the episode.
 
-Both ends write each message with sorted keys and no spaces. The driver
-looks up an ``act`` reply in that form in a table of the L+1 lines of the
-episode's tape length (built by parsing and decoding each line); a reply in
-any other valid JSON form is parsed and decoded as it arrives, so an external
-agent may write its JSON however it likes.
+Both ends write messages with sorted keys and no spaces. The driver finds an
+``act`` reply in that form in a per-tape-length table of the L+1 such lines,
+built by parsing and decoding each; a reply in any other valid JSON form is
+parsed and decoded as it arrives, so external agents need not match it.
 """
 
 from __future__ import annotations
@@ -40,7 +39,8 @@ import select
 import subprocess
 import sys
 import time
-from typing import Any, IO
+from types import MappingProxyType
+from typing import Any, IO, Mapping
 
 from .agents import Agent, AgentConfig
 from .ca import Tape
@@ -80,17 +80,17 @@ def _decode(message: dict[str, Any], **fields: Any) -> list[Any]:
 
 
 @functools.cache
-def _act_lines(length: int) -> dict[Action, str]:
+def _act_lines(length: int) -> Mapping[Action, str]:
     """The ``act`` line answering each of the ``length + 1`` actions on a tape of ``length`` cells."""
     actions = (Action.from_order_index(i, length) for i in range(length + 1))
-    return {action: _line("act", action=to_json(action)) for action in actions}
+    return MappingProxyType({action: _line("act", action=to_json(action)) for action in actions})
 
 
 @functools.cache
-def _act_table(length: int) -> dict[bytes, Action]:
+def _act_table(length: int) -> Mapping[bytes, Action]:
     """Each of ``_act_lines(length)``, without its newline, -> the action it parses and decodes to."""
-    return {line[:-1].encode(): _decode(_parse(line, "response"), action=Action)[0]
-            for line in _act_lines(length).values()}
+    return MappingProxyType({line[:-1].encode(): _decode(_parse(line, "response"), action=Action)[0]
+                             for line in _act_lines(length).values()})
 
 
 def serve(agent: Agent, infile: IO[str] | None = None, outfile: IO[str] | None = None) -> None:
@@ -98,7 +98,7 @@ def serve(agent: Agent, infile: IO[str] | None = None, outfile: IO[str] | None =
     infile = infile if infile is not None else sys.stdin
     outfile = outfile if outfile is not None else sys.stdout
     episode: tuple[Tape, Action] | None = None  # the last observation and the action taken on it
-    replies: dict[Action, str] = {}  # the act lines of the episode's tape length
+    replies: Mapping[Action, str] = {}  # the act lines of the episode's tape length
 
     for line in infile:
         if not line.strip():
@@ -147,7 +147,7 @@ class BridgeAgent(Agent):
         self._proc: subprocess.Popen | None = None
         self._unread = b""  # bytes read from the process past the last complete reply
         self._pending: Action | None = None
-        self._replies: dict[bytes, Action] = {}  # the act lines of the episode's tape length
+        self._replies: Mapping[bytes, Action] = {}  # the act lines of the episode's tape length
 
     def _fail(self, message: str) -> None:
         self.close()
@@ -174,10 +174,8 @@ class BridgeAgent(Agent):
     def _response(self, expect: str, decode: bool = True) -> Any:
         """The next reply, read from the pipe for at most the time left before the deadline.
 
-        An ``act`` reply gives its Action: a line in ``bridge-serve``'s own form
-        is looked up in the episode's table, any other is parsed and decoded
-        (not at all if ``decode`` is false: the placeholder answering a done
-        step gives ``None``). A ``hello`` reply gives the parsed message.
+        A ``hello`` reply gives the message, an ``act`` reply its Action: found in the episode's
+        table, else parsed and decoded (``None`` if ``decode`` is false, as for a done step's placeholder).
         """
         deadline = time.monotonic() + self.cfg.bridge_deadline
         fd = self._proc.stdout.fileno()
