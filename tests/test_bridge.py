@@ -61,14 +61,13 @@ SPLIT_REPLY_SCRIPT = (
     "        time.sleep(0.1)\n"
 )
 HALF_LINE_SCRIPT = "import sys, time\nsys.stdout.write('{\"v\": 1, ')\nsys.stdout.flush()\ntime.sleep(30)\n"
-# Answers every request with a no-op, then keeps running after its input closes: ``{after}``.
+# Answers every request with a no-op; the code appended to it keeps it running after its input closes.
 LINGERING_SCRIPT = (
     "import sys, json, time\n"
     "for line in sys.stdin:\n"
     "    hello = json.loads(line)['type'] == 'hello'\n"
-    "    print(json.dumps({{'v': 1, 'type': 'hello'}} if hello else\n"
-    "                     {{'v': 1, 'type': 'act', 'action': {{'kind': 'no_op'}}}}), flush=True)\n"
-    "{after}\n"
+    "    print(json.dumps({'v': 1, 'type': 'hello'} if hello else\n"
+    "                     {'v': 1, 'type': 'act', 'action': {'kind': 'no_op'}}), flush=True)\n"
 )
 
 
@@ -214,7 +213,7 @@ class TestBridgeFailures:
     def test_close_kills_a_peer_that_outlives_its_input(self, monkeypatch, after):
         started = recorded_processes(monkeypatch)
         agent = BridgeAgent(AgentConfig(kind="bridge", name="lingering",
-                                        bridge_command=script_command(LINGERING_SCRIPT.format(after=after)),
+                                        bridge_command=script_command(LINGERING_SCRIPT + after),
                                         bridge_deadline=5.0))
         run_episode(demo_task(), agent, episode_seed=1)
         with warnings.catch_warnings(record=True) as caught:

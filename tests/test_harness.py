@@ -367,7 +367,8 @@ class TestConfigIO:
     def test_float_key_refuses_a_non_finite_number(self, tmp_path, value, spelled):
         data = to_json(small_config(tmp_path / "out"))
         data["agents"][1]["ig_weight"] = value
-        with pytest.raises(ConfigError, match=rf"^config key agents\[1\]\.ig_weight must be a finite number, got {spelled}$"):
+        message = rf"^config key agents\[1\]\.ig_weight must be a finite number, got {spelled}$"
+        with pytest.raises(ConfigError, match=message):
             from_json(ExperimentConfig, data)
         with pytest.raises(ConfigError, match=rf"^config must be a finite number, got {spelled}$"):
             from_json(float, value)
