@@ -136,9 +136,10 @@ class BridgeAgent(Agent):
     """Drives an external process speaking the bridge protocol as a local agent.
 
     The subprocess is spawned lazily, handshaken once, and reused across
-    episodes; any protocol failure (timeout, malformed line, error response)
-    kills it so the next episode starts from a clean process, and a process
-    that has exited is closed before the next one starts.
+    episodes; any protocol failure (timeout, malformed line, error response,
+    an action that does not decode) kills it so the next episode starts from a
+    clean process, and a process that has exited is closed before the next
+    one starts.
     """
 
     def __init__(self, cfg: AgentConfig):
@@ -201,7 +202,12 @@ class BridgeAgent(Agent):
             self._fail(f"expected {expect!r} response, got {message.get('type')!r}")
         if expect != "act":
             return message
-        return _decode(message, action=Action)[0] if decode else None
+        if not decode:
+            return None
+        try:
+            return _decode(message, action=Action)[0]
+        except ValueError as exc:
+            self._fail(str(exc))
 
     def begin_episode(self, task: TaskSpec, obs: Tape, seed: int) -> None:
         self._ensure_process()

@@ -14,17 +14,24 @@ workers (POSIX only, like the bridge's pipes; forking spares each worker the
 numpy import), and the pool's management thread and task-queue feeder are
 the only threads. Either way the results are concatenated in agent-name
 order, so the logs are byte-identical at any ``parallelism``, and an
-exception other than ``AgentError`` in any agent aborts the run before
-anything is written. Threads would not help: the work is CPU-bound Python
-and numpy, and they contend for the interpreter lock.
+exception other than ``AgentError`` in any agent aborts the run: nothing is
+renamed into place and the temporary log is removed. Threads would not help:
+the work is CPU-bound Python and numpy, and they contend for the interpreter
+lock.
 
 The output directory is made before the first episode, so a path that cannot
-be a directory fails the run before any work. Each episode becomes its log
-record and its seed-table entry as it finishes, so both are built in their
-final order with no sort. Both files are written to temporary files beside
-them first and only then renamed into place, so a run that fails while
-writing leaves the previous pair (or none). Only a crash or a failed rename
-between the two renames can leave a new log beside the previous manifest:
+be a directory fails the run before any work. Each episode becomes its final
+log line and its seed-table entry where it was played (in the worker, under
+the pool), so both are built in their final order with no sort, and no
+record outlives its episode. The log streams to ``episodes.jsonl.tmp``: each
+agent's lines are written as soon as it and every agent before it by name
+are done, so a run holds at most the lines of agents that have finished but
+are not yet written, never the run's transcripts. The manifest is rendered
+after the last log line, to ``manifest.json.tmp``, and only then are both
+renamed into place, so a run that fails leaves the previous pair (or none).
+A run killed outright can leave ``episodes.jsonl.tmp``, which the next run in
+the directory replaces. Only a crash or a failed rename between the two
+renames can leave a new log beside the previous manifest:
 
 * ``episodes.jsonl`` — one JSON record per episode (the episode's fields plus
   its ``task_index``/``episode_index`` coordinates), in (agent, task index,
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import closing
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
@@ -125,15 +133,17 @@ def _write_atomic(files: dict[Path, Any]) -> None:
     """Write each path's chunks to a temporary file beside it, then rename all of them into place.
 
     No path is replaced until every temporary file is complete. A failure while
-    writing removes the temporary files, so each path keeps its previous
-    content (or stays absent) instead of holding a partial or mismatched file.
+    writing (or while producing the chunks) removes the temporary files, so each
+    path keeps its previous content (or stays absent) instead of holding a
+    partial or mismatched file. The files are line-buffered: a temporary file
+    holds every line its chunks have given so far.
     """
     renames = []
     try:
         for path, chunks in files.items():
             tmp = path.with_name(path.name + ".tmp")
             renames.append((tmp, path))
-            with tmp.open("w") as fh:
+            with tmp.open("w", buffering=1) as fh:
                 fh.writelines(chunks)
         for tmp, path in renames:
             os.replace(tmp, path)
@@ -144,11 +154,12 @@ def _write_atomic(files: dict[Path, Any]) -> None:
 
 
 def _play(agent_cfg: AgentConfig, split: Split, base_seed: int, episodes_per_task: int):
-    """One agent config's (log records, seed-table entries), its cells played in (task, episode) order.
+    """One agent config's (log lines, seed-table entries), its cells played in (task, episode) order.
 
+    Each episode becomes its final log line as soon as it ends, so no record outlives it.
     An :class:`AgentError` fails its cell only; any other exception aborts the run.
     """
-    records = []
+    lines = []
     seed_table = []
     agent = make_agent(agent_cfg, split.train_rules)
     try:
@@ -162,11 +173,26 @@ def _play(agent_cfg: AgentConfig, split: Split, base_seed: int, episodes_per_tas
                 except AgentError as exc:
                     entry["status"] = f"failed: {exc}"
                 else:
-                    records.append(dict(result.to_record(), task_index=task_index, episode_index=episode_index))
+                    record = dict(result.to_record(), task_index=task_index, episode_index=episode_index)
+                    lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
                 seed_table.append(entry)
     finally:
         agent.close()
-    return records, seed_table
+    return lines, seed_table
+
+
+def _played(play, agents: list[AgentConfig], workers: int):
+    """Each agent's ``play`` result in the order of ``agents``, as soon as it and those before it are done."""
+    if workers == 1:
+        yield from map(play, agents)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Fork, because a spawned worker imports numpy again (~0.2 s). The pool forks all
+    # its workers before it starts its own threads, and the program has no others.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield from pool.map(play, agents)
 
 
 def run_experiment(config: ExperimentConfig, split: Split | None = None) -> RunManifest:
@@ -194,35 +220,29 @@ def run_experiment(config: ExperimentConfig, split: Split | None = None) -> RunM
     agents = sorted(config.agents, key=lambda a: a.name)
     play = partial(_play, split=split, base_seed=config.base_seed, episodes_per_task=config.episodes_per_task)
     workers = min(config.parallelism, os.cpu_count() or 1, len(agents))
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Fork, because a spawned worker imports numpy again (~0.2 s). The pool forks all
-        # its workers before it starts its own threads, and the program has no others.
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            results = list(pool.map(play, agents))
-    else:
-        results = map(play, agents)
-    records = []
-    seed_table = []
-    for agent_records, entries in results:
-        records += agent_records
-        seed_table += entries
-
     manifest = RunManifest(
         name=config.name,
         config=to_json(config),
         split=to_json(split),
-        seed_table=seed_table,
+        seed_table=[],
         artifact_version=__version__,
         started_at=started,
-        finished_at=datetime.now(timezone.utc).isoformat(),
+        finished_at="",
     )
-    _write_atomic({
-        out_dir / EPISODE_LOG: (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n" for record in records),
-        out_dir / MANIFEST_FILE: [json.dumps(to_json(manifest), indent=2, sort_keys=True) + "\n"],
-    })
+
+    def log_lines():
+        for lines, entries in _played(play, agents, workers):
+            manifest.seed_table += entries
+            yield from lines
+        manifest.finished_at = datetime.now(timezone.utc).isoformat()
+
+    # Closed at once if a write fails, so that the pool is shut down before the error leaves.
+    with closing(log_lines()) as log:
+        _write_atomic({
+            out_dir / EPISODE_LOG: log,
+            # Rendered when the log is complete, so that it holds the whole seed table.
+            out_dir / MANIFEST_FILE: (json.dumps(to_json(m), indent=2, sort_keys=True) + "\n" for m in [manifest]),
+        })
     return manifest
 
 

@@ -198,6 +198,22 @@ class TestBridgeFailures:
         finally:
             agent.close()
 
+    def test_undecodable_action_closes_the_peer(self, monkeypatch):
+        started = recorded_processes(monkeypatch)
+        agent = BridgeAgent(AgentConfig(kind="bridge", name="sloppy", bridge_command=script_command(FLIP_TRUE_SCRIPT),
+                                        bridge_deadline=5.0))
+        try:
+            with pytest.raises(AgentError, match=r"action\.index"):
+                run_episode(demo_task(), agent, episode_seed=0)
+            assert agent._proc is None
+            (first,) = started
+            assert first.returncode is not None and first.stdin.closed and first.stdout.closed
+            with pytest.raises(AgentError, match=r"action\.index"):
+                run_episode(demo_task(), agent, episode_seed=1)
+            assert len(started) == 2  # the next episode started a fresh process
+        finally:
+            agent.close()
+
     def test_close_releases_both_pipes(self, monkeypatch):
         started = recorded_processes(monkeypatch)
         agent = BridgeAgent(AgentConfig(kind="bridge", name="random", bridge_command=SERVE_RANDOM,

@@ -214,6 +214,72 @@ class TestRunExperiment:
         monkeypatch.undo()
         assert list((tmp_path / "run").iterdir()) == []
 
+    def test_play_returns_each_episode_as_its_final_line(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path / "run")
+        results = []
+        real_run_episode = harness.run_episode
+        monkeypatch.setattr(harness, "run_episode", lambda *args: results.append(real_run_episode(*args)) or results[-1])
+        lines, entries = harness._play(cfg.agents[1], make_split(cfg.split), cfg.base_seed, cfg.episodes_per_task)
+        assert len(lines) == len(results) == len(entries) == 9
+        for line, result, entry in zip(lines, results, entries):
+            record = dict(result.to_record(), task_index=entry["task_index"], episode_index=entry["episode_index"])
+            assert type(line) is str
+            assert line == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_each_agents_lines_are_written_before_the_next_agent_plays(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path / "run")
+        first, second = sorted(cfg.agents, key=lambda a: a.name)
+        expected, _ = harness._play(first, make_split(cfg.split), cfg.base_seed, cfg.episodes_per_task)
+        on_disk = []
+        real_run_episode = harness.run_episode
+
+        def watching(task, agent, seed):
+            if agent.name == second.name and not on_disk:
+                on_disk.append((tmp_path / "run" / "episodes.jsonl.tmp").read_bytes())
+            return real_run_episode(task, agent, seed)
+
+        monkeypatch.setattr(harness, "run_episode", watching)
+        run_experiment(cfg)
+        assert on_disk == ["".join(expected).encode()]
+        assert (tmp_path / "run" / "episodes.jsonl").read_bytes().startswith(on_disk[0])
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_abort_after_lines_were_written_keeps_previous_outputs(self, tmp_path, monkeypatch, pools, parallelism):
+        agents = (AgentConfig(kind="random"), AgentConfig(kind="tabular_q"))
+        cfg = small_config(tmp_path / "run", agents=agents)
+        run_experiment(cfg)
+        before = {name: (tmp_path / "run" / name).read_bytes() for name in ("episodes.jsonl", "manifest.json")}
+
+        faulty = dataclasses.replace(cfg, base_seed=78, parallelism=parallelism,
+                                     agents=agents + (AgentConfig(kind="random", name="zz-last"),))
+        split = make_split(cfg.split)
+        written = "".join(line for a in agents for line in harness._play(a, split, 78, cfg.episodes_per_task)[0])
+        real_run_episode = harness.run_episode
+
+        def broken_last(task, agent, seed):
+            if agent.name == "zz-last":
+                raise KeyError("synthetic fault in the last agent")
+            return real_run_episode(task, agent, seed)
+
+        removed = {}
+        real_unlink = Path.unlink
+
+        def recording_unlink(self, *args, **kwargs):
+            if self.suffix == ".tmp" and self.exists():
+                removed[self.name] = self.read_text()
+            return real_unlink(self, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_episode", broken_last)
+        monkeypatch.setattr(Path, "unlink", recording_unlink)
+        with pytest.raises(KeyError, match="synthetic fault"):
+            run_experiment(faulty)
+        monkeypatch.undo()
+        assert pools == ([2] if parallelism == 2 else [])
+        assert removed == {"episodes.jsonl.tmp": written}  # the earlier agents' lines had been written
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["episodes.jsonl", "manifest.json"]
+        for name, content in before.items():
+            assert (tmp_path / "run" / name).read_bytes() == content
+
     def test_smoke_config_under_five_seconds(self, tmp_path):
         cfg = ExperimentConfig(
             name="smoke",
