@@ -12,15 +12,13 @@ __version__ = "0.1.0"
 from .agents import AgentConfig, make_agent
 from .belief import (
     Belief,
-    PredictiveDistribution,
     entropy,
     info_gain_entropy,
     info_gain_kl,
     info_gain_mi,
     posterior_update,
-    predictive,
 )
-from .ca import Tape, decode_rule, encode_rule, enumerate_orbit, step
+from .ca import Tape, decode_rule, step
 from .env import (
     Action,
     EpisodeResult,

@@ -152,7 +152,7 @@ def plan_mpc(
         p = weights[positive] / weights[positive].sum()
         picked = rng.choice(len(positive), size=cfg.mixture_rules, replace=False, p=p)
         chosen = [positive[int(i)] for i in picked]
-    eval_rules = as_words([rules[i] for i in chosen], length)
+    eval_rules = as_words([rules[i] for i in chosen])
     eval_weights = weights[chosen] / weights[chosen].sum()
 
     total_sequences = n_actions**cfg.plan_horizon
@@ -161,8 +161,8 @@ def plan_mpc(
     else:
         sequences = rng.integers(0, n_actions, size=(cfg.rollout_budget, cfg.plan_horizon))
 
-    flips = as_words(action_flips(length), length)
-    bits = np.full((len(eval_rules), len(sequences)), state.bits, dtype=eval_rules.dtype)
+    flips = as_words(action_flips(length))
+    bits = np.full((len(eval_rules), len(sequences)), state.bits, dtype=np.uint64)
     acc = np.zeros(bits.shape)
     for t in range(cfg.plan_horizon):
         bits = step_bits(bits ^ flips[sequences[:, t]], length, eval_rules[:, None])

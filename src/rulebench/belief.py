@@ -35,14 +35,12 @@ from .errors import DomainError, InconsistentObservationError
 
 __all__ = [
     "Belief",
-    "PredictiveDistribution",
     "entropy",
     "info_gain_entropy",
     "info_gain_kl",
     "info_gain_mi",
     "info_gain_sweep",
     "posterior_update",
-    "predictive",
 ]
 
 PROB_TOL = 1e-12
@@ -92,31 +90,13 @@ class Belief:
         return float(self.probs[self.support.index(rule)])
 
 
-@dataclass(frozen=True, eq=False)
-class PredictiveDistribution:
-    """Mixture over distinct next tapes induced by a belief at ``(state, action)``."""
-
-    outcomes: tuple[Tape, ...]
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != (len(self.outcomes),):
-            raise DomainError("probs must align with outcomes")
-        if abs(float(probs.sum()) - 1.0) > PROB_TOL:
-            raise DomainError(f"predictive probs must sum to 1, got {probs.sum()!r}")
-        probs = probs.copy()
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
-
-
 def _prediction_bits(state: Tape, action: Action, rule: int) -> int:
     return ca.step_bits(intervene(state, action).bits, state.length, rule)
 
 
 def _predict(rules, inputs, length: int) -> np.ndarray:
     """Next tapes of every rule (rows) from every input tape (columns), in one kernel call."""
-    return ca.step_bits(ca.as_words(inputs, length)[None, :], length, ca.as_words(rules, length)[:, None])
+    return ca.step_bits(ca.as_words(inputs)[None, :], length, ca.as_words(rules)[:, None])
 
 
 def posterior_update(belief: Belief, t: Transition) -> Belief:
@@ -144,17 +124,6 @@ def entropy(belief: Belief) -> float:
 
 def _entropy_bits(probs: np.ndarray) -> float:
     return float(-sum(p * math.log2(p) for p in probs if p > 0.0))
-
-
-def predictive(belief: Belief, s: Tape, a: Action) -> PredictiveDistribution:
-    """Belief-weighted distribution over the next tape; zero-mass outcomes are dropped."""
-    alive = np.flatnonzero(belief.probs > 0.0)
-    predicted = _predict([belief.support[i] for i in alive], [intervene(s, a).bits], s.length)[:, 0]
-    mass: dict[int, float] = {}
-    for bits, p in zip(predicted.tolist(), belief.probs[alive].tolist()):
-        mass[bits] = mass.get(bits, 0.0) + p
-    outcomes = tuple(Tape(bits, s.length) for bits in mass)
-    return PredictiveDistribution(outcomes, np.array(list(mass.values())))
 
 
 def _outcome_posteriors(belief: Belief, s: Tape, a: Action):

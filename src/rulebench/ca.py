@@ -2,24 +2,23 @@
 
 Rules are integers in [0, 255] under the standard Wolfram numbering: the
 output for neighborhood ``(left, center, right)`` is bit ``4*left + 2*center
-+ right`` of the rule's binary expansion. Tapes are fixed-length binary
-vectors; cell 0 is the leftmost cell and neighborhoods are read
-``(left, center, right)``. The default boundary is periodic (wrap-around);
-``boundary="fixed_zero"`` treats both out-of-range neighbors as 0.
++ right`` of the rule's binary expansion. Tapes are periodic (wrap-around)
+binary vectors of ``MIN_LENGTH`` (3) to ``MAX_LENGTH`` (64) cells; cell 0 is
+the leftmost cell and neighborhoods are read ``(left, center, right)``.
 
-Tapes are stored as plain integers (cell ``i`` is bit ``i``). One step is a
-bit-parallel expression over the tape word and its two rotations, so the
-same code steps a single Python-int tape or numpy arrays of tapes and rules
-broadcast against each other (see :func:`as_words`); the planners and the
-belief layer step every rollout or hypothesis in one call. That expression
-is the only definition of the dynamics. ``uint64`` tape arrays of at most
-``TABLE_MAX_LENGTH`` (10) cells are stepped by one gather from a transition
-table instead: every rule's step of every tape of that length, shape
-``(256, 2**length)``, which the expression builds in one vectorized call the
-first time a length and boundary are stepped and which is then kept for the
-life of the process (0.5 MB at 8 cells, 2 MB at 10). Python-int tapes,
-``object`` arrays and longer tapes run the expression on every call. All
-functions here are pure; ``Tape`` values are immutable and hashable.
+Tapes are stored as plain integers (cell ``i`` is bit ``i``), so any tape
+fits one ``uint64`` word. One step is a bit-parallel expression over the
+tape word and its two rotations, so the same code steps a single Python-int
+tape or ``uint64`` arrays of tapes and rules broadcast against each other
+(see :func:`as_words`); the planners and the belief layer step every rollout
+or hypothesis in one call. That expression is the only definition of the
+dynamics. Tape arrays of at most ``TABLE_MAX_LENGTH`` (10) cells are stepped
+by one gather from a transition table instead: every rule's step of every
+tape of that length, shape ``(256, 2**length)``, which the expression builds
+in one vectorized call the first time a length is stepped and which is then
+kept for the life of the process (0.5 MB at 8 cells, 2 MB at 10). Python-int
+tapes and longer tapes run the expression on every call. All functions here
+are pure; ``Tape`` values are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -32,22 +31,19 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "BOUNDARIES",
+    "MAX_LENGTH",
     "MIN_LENGTH",
     "TABLE_MAX_LENGTH",
     "Tape",
     "as_words",
     "decode_rule",
-    "encode_rule",
-    "enumerate_orbit",
-    "popcount",
     "step",
     "step_bits",
 ]
 
 MIN_LENGTH = 3  # a neighborhood needs three cells
+MAX_LENGTH = 64  # a tape is one uint64 word
 TABLE_MAX_LENGTH = 10  # a transition table is 256 x 2**length uint64 words: 2 MB at 10 cells
-BOUNDARIES = ("periodic", "fixed_zero")
 
 
 @lru_cache(maxsize=512)
@@ -60,13 +56,6 @@ def decode_rule(rule: int) -> tuple[int, ...]:
     return tuple((rule >> k) & 1 for k in range(8))
 
 
-def encode_rule(outputs: tuple[int, ...]) -> int:
-    """Inverse of :func:`decode_rule`."""
-    if len(outputs) != 8 or any(b not in (0, 1) for b in outputs):
-        raise DomainError(f"rule table must be 8 bits, got {outputs!r}")
-    return sum(bit << k for k, bit in enumerate(outputs))
-
-
 @dataclass(frozen=True)
 class Tape:
     """Immutable binary tape; cell ``i`` is bit ``i`` of ``bits``."""
@@ -75,8 +64,8 @@ class Tape:
     length: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.length, int) or self.length < MIN_LENGTH:
-            raise DomainError(f"tape length must be an integer >= {MIN_LENGTH}, got {self.length!r}")
+        if not isinstance(self.length, int) or not MIN_LENGTH <= self.length <= MAX_LENGTH:
+            raise DomainError(f"tape length must be an integer in [{MIN_LENGTH}, {MAX_LENGTH}], got {self.length!r}")
         if not isinstance(self.bits, int) or not 0 <= self.bits < (1 << self.length):
             raise DomainError(f"tape bits {self.bits!r} out of range for length {self.length}")
 
@@ -98,11 +87,6 @@ class Tape:
     def cells(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.length))
 
-    def cell(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise DomainError(f"cell index {i} out of range for length {self.length}")
-        return (self.bits >> i) & 1
-
     def with_flip(self, i: int) -> "Tape":
         if not 0 <= i < self.length:
             raise DomainError(f"flip index {i} out of range for length {self.length}")
@@ -120,35 +104,31 @@ _WORD_MASKS = np.array(_RULE_MASKS).T.astype(np.uint64)
 _WORD_MASKS.flags.writeable = False
 
 
-def step_bits(bits, length: int, rule, boundary: str = "periodic"):
-    """One synchronous update of bit-packed tapes.
+def step_bits(bits, length: int, rule):
+    """One synchronous update of bit-packed periodic tapes.
 
-    ``bits`` and ``rule`` are Python ints, or arrays from :func:`as_words`
-    that broadcast against each other (say rollouts along one axis and rules
-    along the other). A ``uint64`` tape array of at most
-    :data:`TABLE_MAX_LENGTH` cells is looked up in the transition table of its
-    length and boundary; anything else is computed by the bit-parallel
-    expression. Either way the result has the broadcast shape, and a rule
-    outside [0, 255] raises :class:`DomainError`.
+    ``bits`` and ``rule`` are Python ints, or ``uint64`` arrays from
+    :func:`as_words` that broadcast against each other (say rollouts along
+    one axis and rules along the other). A tape array of at most
+    :data:`TABLE_MAX_LENGTH` cells is looked up in the transition table of
+    its length; anything else is computed by the bit-parallel expression.
+    Either way the result has the broadcast shape, and a rule outside
+    [0, 255] raises :class:`DomainError`.
     """
     if isinstance(rule, int):
         decode_rule(rule)  # range check
         if isinstance(bits, int):  # the env's one-tape step, kept free of the array checks below
-            return _step_words(bits, length, _RULE_MASKS[rule], boundary)
-    words = isinstance(bits, np.ndarray) and bits.dtype == np.uint64
-    if words and length <= TABLE_MAX_LENGTH:
+            return _step_words(bits, length, _RULE_MASKS[rule])
+    if isinstance(bits, np.ndarray) and length <= TABLE_MAX_LENGTH:
         try:
-            return _table(length, boundary)[rule, bits]
+            return _table(length)[rule, bits]
         except IndexError:  # a rule above 255, or a tape of more than ``length`` cells
             if not isinstance(rule, int):
                 _check_rule_array(rule)
             raise DomainError(f"tape bits out of range for length {length}, got {int(bits.max())}") from None
-    if isinstance(rule, int):
-        masks = _WORD_MASKS[:, rule] if words else _RULE_MASKS[rule]
-    else:
+    if not isinstance(rule, int):
         _check_rule_array(rule)
-        masks = [-((rule >> k) & 1) for k in range(8)] if rule.dtype == object else _WORD_MASKS[:, rule]
-    return _step_words(bits, length, masks, boundary)
+    return _step_words(bits, length, _WORD_MASKS[:, rule])
 
 
 def _check_rule_array(rule) -> None:
@@ -157,28 +137,23 @@ def _check_rule_array(rule) -> None:
 
 
 @lru_cache(maxsize=None)
-def _table(length: int, boundary: str) -> np.ndarray:
+def _table(length: int) -> np.ndarray:
     """Every rule's step of every tape of ``length`` cells: entry ``[rule, bits]``, from one expression call."""
     tapes = np.arange(1 << length, dtype=np.uint64)
-    table = _step_words(tapes, length, _WORD_MASKS[:, :, None], boundary)
+    table = _step_words(tapes, length, _WORD_MASKS[:, :, None])
     table.flags.writeable = False
     return table
 
 
-def _step_words(bits, length: int, masks, boundary: str):
+def _step_words(bits, length: int, masks):
     """The bit-parallel step: the OR of the 8 neighborhood minterms, each masked by its rule bit.
 
     ``masks`` are the rule's eight masks (see ``_RULE_MASKS``), computed on
-    whole words: the tape and its two neighbor rotations.
+    whole words: the tape and its two periodic neighbor rotations.
     """
     m0, m1, m2, m3, m4, m5, m6, m7 = masks
-    if boundary == "periodic":
-        left = (bits << 1) | (bits >> (length - 1))
-        right = (bits >> 1) | ((bits & 1) << (length - 1))
-    elif boundary == "fixed_zero":
-        left, right = bits << 1, bits >> 1
-    else:
-        raise DomainError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
+    left = (bits << 1) | (bits >> (length - 1))
+    right = (bits >> 1) | ((bits & 1) << (length - 1))
     # The masked minterms summed one neighbor at a time (Shannon expansion):
     # x ^ ((x ^ y) & w) takes y's bit where w is set and x's where it is clear;
     # lcXY is the output where (left, center) = (X, Y), lX where left = X.
@@ -191,32 +166,11 @@ def _step_words(bits, length: int, masks, boundary: str):
     return (l0 ^ ((l0 ^ l1) & left)) & ((1 << length) - 1)
 
 
-def as_words(values, length: int) -> np.ndarray:
-    """Tapes (or rules) of ``length`` cells as an array :func:`step_bits` broadcasts over.
-
-    ``uint64`` holds up to 64 cells; longer tapes stay Python ints in an
-    ``object`` array, which the same expressions step more slowly.
-    """
-    return np.array(values, dtype=np.uint64 if length <= 64 else object)
+def as_words(values) -> np.ndarray:
+    """Tapes (or rules) as the ``uint64`` array :func:`step_bits` broadcasts over."""
+    return np.array(values, dtype=np.uint64)
 
 
-def popcount(words: np.ndarray) -> np.ndarray:
-    """Number of set cells of each tape in an :func:`as_words` array."""
-    if words.dtype == object:
-        return np.array([w.bit_count() for w in words.flat], dtype=np.int64).reshape(words.shape)
-    return np.bitwise_count(words)
-
-
-def step(tape: Tape, rule: int, boundary: str = "periodic") -> Tape:
+def step(tape: Tape, rule: int) -> Tape:
     """Apply ``rule`` to every neighborhood of ``tape`` simultaneously."""
-    return Tape(step_bits(tape.bits, tape.length, rule, boundary), tape.length)
-
-
-def enumerate_orbit(tape: Tape, rule: int, steps: int, boundary: str = "periodic") -> list[Tape]:
-    """The trajectory ``[tape, step(tape), ..., step^steps(tape)]``."""
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
-    orbit = [tape]
-    for _ in range(steps):
-        orbit.append(step(orbit[-1], rule, boundary))
-    return orbit
+    return Tape(step_bits(tape.bits, tape.length, rule), tape.length)

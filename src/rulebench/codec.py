@@ -7,8 +7,9 @@ Decoding refuses an unknown, missing or wrong-typed key with a
 :class:`~rulebench.errors.ConfigError` naming its path (``agents[1].plan_horizon``);
 an ``int`` refuses a boolean, and a ``float`` accepts an integer but not
 ``NaN`` or an infinity (which Python's ``json`` parses). A range
-check that a dataclass's constructor fails keeps its error type and is
-prefixed with the object's path (``agents[1]: plan_horizon must be >= 1``).
+check that a dataclass's constructor or a tape's parse fails keeps its error
+type and is prefixed with the value's path (``agents[1]: plan_horizon must
+be >= 1``, ``obs: tape length must be ...``).
 Plans are built once per type.
 """
 
@@ -53,6 +54,11 @@ def _wrong_type(path: str, expected: type, value: Any) -> ConfigError:
     return ConfigError(f"{_named(path)} must be {_JSON_NAMES[expected]}, got {got}")
 
 
+def _at(path: str, exc: Exception) -> Exception:
+    """``exc`` again, its message prefixed with the ``path`` of the value that failed."""
+    return type(exc)(f"{path}: {exc}" if path else str(exc))
+
+
 def _optional(tp: Any) -> Any:
     """``X`` for the hint ``X | None``, else ``None``."""
     if typing.get_origin(tp) not in (typing.Union, types.UnionType):
@@ -94,7 +100,12 @@ def _decoder(tp: Any) -> Callable[[Any, str], Any]:
                 raise _wrong_type(path, accepts[0], value)
             if type(value) is float and not math.isfinite(value):
                 raise ConfigError(f"{_named(path)} must be a finite number, got {json.dumps(value)}")
-            return Tape.from_string(value) if tp is Tape else value
+            if tp is not Tape:
+                return value
+            try:
+                return Tape.from_string(value)
+            except DomainError as exc:
+                raise _at(path, exc) from None
         return decode_scalar
     if origin in (tuple, list):
         item = _decoder(typing.get_args(tp)[0])
@@ -129,5 +140,5 @@ def _decoder(tp: Any) -> Callable[[Any, str], Any]:
         try:
             return tp(**kwargs)
         except (ConfigError, DomainError) as exc:  # a range check: name the object it failed in
-            raise type(exc)(f"{path}: {exc}" if path else str(exc)) from None
+            raise _at(path, exc) from None
     return decode_object

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from . import ca
 from .ca import Tape
 from .codec import to_json
@@ -145,7 +147,7 @@ def match_fraction(bits_a, bits_b, length: int):
     Takes Python ints, or :func:`ca.as_words` arrays (elementwise).
     """
     diff = bits_a ^ bits_b
-    mismatches = diff.bit_count() if isinstance(diff, int) else ca.popcount(diff)
+    mismatches = diff.bit_count() if isinstance(diff, int) else np.bitwise_count(diff)
     return (length - mismatches) / length
 
 

@@ -56,7 +56,7 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .agents import AgentConfig, make_agent
+from .agents import MAX_Q_LENGTH, AgentConfig, make_agent
 from .belief import Belief, entropy, info_gain_entropy, info_gain_kl, info_gain_mi
 from .ca import Tape
 from .codec import from_json, to_json
@@ -105,6 +105,11 @@ class ExperimentConfig:
             raise ConfigError("at least one agent is required")
         if len(set(names)) != len(names):
             raise ConfigError(f"agent names must be unique, got {names}")
+        longest = max(self.split.test_lengths)
+        for i, agent in enumerate(self.agents):
+            if agent.kind == "tabular_q" and longest > MAX_Q_LENGTH:
+                raise ConfigError(f"agents[{i}]: tabular_q supports lengths up to {MAX_Q_LENGTH}, "
+                                  f"got {longest} in split.test_lengths")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -69,9 +69,9 @@ class SplitSpec:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.protocol == "holdout_rule" and len(self.candidate_rules) < 2:
             raise ConfigError("holdout_rule needs at least 2 candidate rules")
-        for lengths in (self.train_lengths, self.test_lengths):
-            if not lengths or any(length < ca.MIN_LENGTH for length in lengths):
-                raise ConfigError(f"lengths must be non-empty and >= {ca.MIN_LENGTH}, got {lengths}")
+        for name, lengths in (("train_lengths", self.train_lengths), ("test_lengths", self.test_lengths)):
+            if not lengths or not all(ca.MIN_LENGTH <= length <= ca.MAX_LENGTH for length in lengths):
+                raise ConfigError(f"{name} must be non-empty, each in [{ca.MIN_LENGTH}, {ca.MAX_LENGTH}], got {lengths}")
         if self.protocol == "holdout_length":
             shared = set(self.train_lengths) & set(self.test_lengths)
             if shared:

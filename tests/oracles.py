@@ -19,26 +19,16 @@ def brute_decode(rule: int) -> list[int]:
     return [(rule >> k) & 1 for k in range(8)]
 
 
-def brute_step(cells: list[int], rule: int, boundary: str = "periodic") -> list[int]:
+def brute_step(cells: list[int], rule: int) -> list[int]:
+    """One update of a periodic tape, cell by cell."""
     table = brute_decode(rule)
     n = len(cells)
     out = []
     for i in range(n):
-        if boundary == "periodic":
-            left = cells[(i - 1) % n]
-            right = cells[(i + 1) % n]
-        else:  # fixed_zero
-            left = cells[i - 1] if i > 0 else 0
-            right = cells[i + 1] if i < n - 1 else 0
+        left = cells[(i - 1) % n]
+        right = cells[(i + 1) % n]
         out.append(table[4 * left + 2 * cells[i] + right])
     return out
-
-
-def brute_orbit(cells: list[int], rule: int, steps: int) -> list[list[int]]:
-    orbit = [list(cells)]
-    for _ in range(steps):
-        orbit.append(brute_step(orbit[-1], rule))
-    return orbit
 
 
 def cells_from_string(text: str) -> list[int]:
@@ -55,17 +45,6 @@ def brute_intervene(cells: list[int], action_index: int) -> list[int]:
     if action_index < len(cells):
         out[action_index] = 1 - out[action_index]
     return out
-
-
-def brute_predictions(support, probs, cells, action_index):
-    """Map from next-state string to its total probability mass."""
-    outcome_mass: dict[str, float] = {}
-    for rule, p in zip(support, probs):
-        if p <= 0.0:
-            continue
-        nxt = string_from_cells(brute_step(brute_intervene(cells, action_index), rule))
-        outcome_mass[nxt] = outcome_mass.get(nxt, 0.0) + p
-    return outcome_mass
 
 
 def brute_entropy(probs) -> float:

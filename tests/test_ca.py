@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from rulebench import DomainError, Tape, decode_rule, encode_rule, enumerate_orbit, step
+from rulebench import DomainError, Tape, decode_rule, step
 from rulebench import ca
-from rulebench.ca import TABLE_MAX_LENGTH, as_words, popcount, step_bits
+from rulebench.ca import MAX_LENGTH, TABLE_MAX_LENGTH, as_words, step_bits
 
-from oracles import brute_decode, brute_orbit, brute_step, cells_from_string
+from oracles import brute_decode, brute_step
 
 
 def tape(text: str) -> Tape:
@@ -31,10 +31,6 @@ class TestDecodeRule:
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(DomainError):
             decode_rule(bad)
-
-    def test_round_trip_all_rules(self):
-        for rule in range(256):
-            assert encode_rule(decode_rule(rule)) == rule
 
     def test_matches_brute_force(self):
         for rule in range(256):
@@ -70,19 +66,6 @@ class TestStep:
             assert out.length == length
             assert step(t, rule) == out
 
-    def test_fixed_zero_boundary_matches_oracle(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            length = int(rng.integers(3, 10))
-            cells = [int(b) for b in rng.integers(0, 2, size=length)]
-            rule = int(rng.integers(0, 256))
-            expected = brute_step(cells, rule, boundary="fixed_zero")
-            assert list(step(Tape.from_cells(cells), rule, boundary="fixed_zero").cells) == expected
-
-    def test_unknown_boundary_rejected(self):
-        with pytest.raises(DomainError):
-            step(tape("010"), 90, boundary="reflecting")
-
     def test_periodic_agrees_with_oracle_sampled(self):
         rng = np.random.default_rng(6)
         for _ in range(300):
@@ -99,28 +82,22 @@ def cells_of(bits: int, length: int) -> list[int]:
 class TestBitParallelKernel:
     """``step_bits`` against the per-cell oracle, on Python ints and on arrays."""
 
-    BOUNDARIES = ("periodic", "fixed_zero")
-
-    @pytest.mark.parametrize("boundary", BOUNDARIES)
     @pytest.mark.parametrize("length", [3, 8])
-    def test_scalar_matches_oracle_exhaustive(self, length, boundary):
+    def test_scalar_matches_oracle_exhaustive(self, length):
         for rule in range(256):
             for bits in range(1 << length):
-                got = step_bits(bits, length, rule, boundary)
-                assert cells_of(got, length) == brute_step(cells_of(bits, length), rule, boundary), (rule, bits)
+                got = step_bits(bits, length, rule)
+                assert cells_of(got, length) == brute_step(cells_of(bits, length), rule), (rule, bits)
 
-    @pytest.mark.parametrize("boundary", BOUNDARIES)
-    def test_scalar_matches_oracle_all_rules_at_13(self, boundary):
+    def test_scalar_matches_oracle_all_rules_at_13(self):
         rng = np.random.default_rng(13)
         for bits in [0, (1 << 13) - 1] + [int(b) for b in rng.integers(0, 1 << 13, size=30)]:
             for rule in range(256):
-                got = step_bits(bits, 13, rule, boundary)
-                assert cells_of(got, 13) == brute_step(cells_of(bits, 13), rule, boundary), (rule, bits)
+                got = step_bits(bits, 13, rule)
+                assert cells_of(got, 13) == brute_step(cells_of(bits, 13), rule), (rule, bits)
 
-    @pytest.mark.parametrize("boundary", BOUNDARIES)
-    @pytest.mark.parametrize("length,dtype", [(n, np.uint64) for n in range(3, 12)]
-                             + [(13, np.uint64), (64, np.uint64), (100, object)])
-    def test_array_matches_oracle_all_rules(self, length, dtype, boundary):
+    @pytest.mark.parametrize("length", list(range(3, 12)) + [13, 63, MAX_LENGTH])
+    def test_array_matches_oracle_all_rules(self, length):
         """Every tape up to the table gate (table path), sampled tapes above it (expression)."""
         rng = np.random.default_rng(length)
         if length <= TABLE_MAX_LENGTH:
@@ -129,36 +106,34 @@ class TestBitParallelKernel:
             full = (1 << length) - 1
             tapes = [0, full, 1, 1 << (length - 1)] + [int.from_bytes(rng.bytes(13), "little") & full
                                                         for _ in range(8)]
-        words = as_words(tapes, length)
-        assert words.dtype == dtype
-        got = step_bits(words[None, :], length, as_words(range(256), length)[:, None], boundary)
-        assert got.shape == (256, len(tapes)) and got.dtype == dtype
-        # the expression on Python ints: an object array takes neither the table nor the word masks
-        expression = step_bits(words.astype(object)[None, :], length, np.arange(256, dtype=object)[:, None], boundary)
-        assert got.tolist() == expression.tolist()
+        words = as_words(tapes)
+        got = step_bits(words[None, :], length, as_words(range(256))[:, None])
+        assert got.shape == (256, len(tapes)) and got.dtype == np.uint64
+        # the expression on Python ints, one tape at a time: neither the table nor the word masks
+        assert got.tolist() == [[step_bits(bits, length, rule) for bits in tapes] for rule in range(256)]
         cells = [cells_of(bits, length) for bits in tapes]
         weights = [1 << i for i in range(length)]
         for rule in range(256):
-            expected = [sum(w * c for w, c in zip(weights, brute_step(tape_cells, rule, boundary)))
+            expected = [sum(w * c for w, c in zip(weights, brute_step(tape_cells, rule)))
                         for tape_cells in cells]
             assert got[rule].tolist() == expected, rule
 
-    def test_only_short_uint64_tape_arrays_use_a_table(self, monkeypatch):
+    def test_only_short_tape_arrays_use_a_table(self, monkeypatch):
         looked_up = []
         table = ca._table
         monkeypatch.setattr(ca, "_table", lambda *key: looked_up.append(key) or table(*key))
         step_bits(5, 10, 30)
-        step_bits(as_words([5, 6], 10).astype(object), 10, 30)
-        step_bits(as_words([5, 6], 11), 11, as_words([30, 90], 11))
-        step_bits(as_words([5, 6], 16), 16, 30, "fixed_zero")
+        step_bits(5, 10, as_words([30, 90]))
+        step_bits(as_words([5, 6]), 11, as_words([30, 90]))
+        step_bits(as_words([5, 6]), 16, 30)
         assert looked_up == []
-        step_bits(as_words([5, 6], 10), 10, as_words([30, 90], 10), "fixed_zero")
-        assert looked_up == [(10, "fixed_zero")]
+        step_bits(as_words([5, 6]), 10, as_words([30, 90]))
+        assert looked_up == [(10,)]
 
     @pytest.mark.parametrize("length", [8, 16])
     def test_broadcast_keeps_shape_and_dtype(self, length):
-        rules = as_words([30, 90, 110], length)[:, None]
-        grid = as_words([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]], length)
+        rules = as_words([30, 90, 110])[:, None]
+        grid = as_words([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]])
         for tapes, rule in ((grid[:1], rules), (grid, rules), (grid, 110)):  # (n, 1) rules, or one int rule
             got = step_bits(tapes, length, rule)
             assert got.shape == (3, 4) and got.dtype == np.uint64
@@ -166,43 +141,18 @@ class TestBitParallelKernel:
                         for row, rule_row in zip(*np.broadcast_arrays(tapes, rule))]
             assert got.tolist() == expected
 
-    @pytest.mark.parametrize("length", [8, 64, 100])
-    def test_popcount_counts_set_cells(self, length):
-        tapes = [0, 1, (1 << length) - 1, int("10" * (length // 2), 2)]
-        assert popcount(as_words(tapes, length)).tolist() == [bin(t).count("1") for t in tapes]
-
     def test_out_of_range_rule_rejected(self):
         with pytest.raises(DomainError):
             step_bits(5, 4, 256)
 
-    @pytest.mark.parametrize("length", [8, 16, 100])  # table, uint64 expression, object expression
+    @pytest.mark.parametrize("length", [8, 16, MAX_LENGTH])  # table, expression, expression on full words
     def test_out_of_range_array_rule_rejected(self, length):
         with pytest.raises(DomainError, match=r"rule must be in \[0, 255\], got 300"):
-            step_bits(as_words([5, 6], length)[None, :], length, as_words([[30], [300]], length))
+            step_bits(as_words([5, 6])[None, :], length, as_words([[30], [300]]))
 
     def test_tape_wider_than_its_length_rejected_on_the_table_path(self):
         with pytest.raises(DomainError, match="tape bits out of range for length 8"):
-            step_bits(as_words([5, 256], 8), 8, 30)
-
-
-class TestEnumerateOrbit:
-    def test_zero_steps_is_singleton(self):
-        t = tape("0110")
-        assert enumerate_orbit(t, 110, 0) == [t]
-
-    def test_rule_90_two_steps(self):
-        orbit = enumerate_orbit(tape("00100"), 90, 2)
-        assert [str(t) for t in orbit] == ["00100", "01010", "10001"]
-        expected = brute_orbit(cells_from_string("00100"), 90, 2)
-        assert [list(t.cells) for t in orbit] == expected
-
-    def test_identity_rule_repeats_input(self):
-        t = tape("1011101")
-        assert enumerate_orbit(t, 204, 5) == [t] * 6
-
-    def test_negative_steps_rejected(self):
-        with pytest.raises(DomainError):
-            enumerate_orbit(tape("010"), 90, -1)
+            step_bits(as_words([5, 256]), 8, 30)
 
 
 class TestTape:
@@ -210,7 +160,6 @@ class TestTape:
         t = tape("00101")
         assert str(t) == "00101"
         assert t.cells == (0, 0, 1, 0, 1)
-        assert t.cell(0) == 0 and t.cell(2) == 1
 
     @pytest.mark.parametrize("length", range(3, 14))
     def test_text_form_matches_cells_exhaustive(self, length):
@@ -224,6 +173,13 @@ class TestTape:
             Tape.from_string("01")
         with pytest.raises(DomainError):
             Tape(0, 2)
+
+    def test_maximum_length_enforced(self):
+        assert str(Tape((1 << MAX_LENGTH) - 1, MAX_LENGTH)) == "1" * MAX_LENGTH
+        with pytest.raises(DomainError, match=r"tape length must be an integer in \[3, 64\], got 65"):
+            Tape(0, MAX_LENGTH + 1)
+        with pytest.raises(DomainError, match="got 65"):
+            Tape.from_string("0" * (MAX_LENGTH + 1))
 
     def test_bits_range_enforced(self):
         with pytest.raises(DomainError):

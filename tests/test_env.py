@@ -18,7 +18,9 @@ from rulebench import (
     step,
 )
 from rulebench.agents import Agent, make_agent
+from rulebench.ca import as_words
 from rulebench.codec import from_json, to_json
+from rulebench.env import match_fraction
 from rulebench.seeding import derive_seed
 
 
@@ -91,6 +93,15 @@ class TestEnvStep:
             assert nxt == step(intervene(state, action), task.rule)
             assert 0.0 <= reward <= 1.0
             assert (reward == 1.0) == (nxt == task.target)
+
+
+class TestMatchFraction:
+    @pytest.mark.parametrize("length", [8, 64])
+    def test_word_arrays_count_cells_like_ints(self, length):
+        tapes = [0, 1, (1 << length) - 1, int("10" * (length // 2), 2)]
+        expected = [(length - bin(t).count("1")) / length for t in tapes]
+        assert [match_fraction(t, 0, length) for t in tapes] == expected
+        assert match_fraction(as_words(tapes), 0, length).tolist() == expected
 
 
 class TestReset:

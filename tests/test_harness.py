@@ -607,6 +607,20 @@ class TestCli:
         assert "'train_rules'" in capsys.readouterr().err
         assert not (tmp_path / "out" / "episodes.jsonl").exists()
 
+    def test_run_refuses_tabular_q_on_a_manifest_of_longer_tapes(self, tmp_path, capsys):
+        config = json.loads((CONFIGS / "smoke.json").read_text())
+        config["agents"].append({"kind": "tabular_q"})
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        manifest_path = tmp_path / "split.json"
+        save_split_manifest(make_split(dataclasses.replace(load_config(config_path).split, test_lengths=(13,))),
+                            manifest_path)
+        out = tmp_path / "out"
+        argv = ["run", str(config_path), "--split-manifest", str(manifest_path), "--output-dir", str(out)]
+        assert cli_main(argv) == 1
+        assert "agents[1]: tabular_q supports lengths up to 12, got 13 in split.test_lengths" in capsys.readouterr().err
+        assert not out.exists()
+
     def smoke_run(self, tmp_path) -> Path:
         """The run directory of ``configs/smoke.json``, run through the CLI."""
         assert cli_main(["run", str(CONFIGS / "smoke.json"), "--output-dir", str(tmp_path / "smoke")]) == 0
@@ -642,6 +656,13 @@ class TestCli:
         (lambda c: c["split"].update(candidate_rules=[90, 300]), "split: rule must be in [0, 255], got 300"),
         (lambda c: c["agents"].append({"kind": "tabular_q", "q_learning_rate": -5.0}),
          "agents[1]: q_learning_rate must be in (0, 1]"),
+        (lambda c: c["split"].update(train_lengths=[65]),
+         "split: train_lengths must be non-empty, each in [3, 64], got (65,)"),
+        (lambda c: c["split"].update(test_lengths=[6, 65]),
+         "split: test_lengths must be non-empty, each in [3, 64], got (6, 65)"),
+        (lambda c: c["split"].update(test_lengths=[2]), "split: test_lengths must be non-empty, each in [3, 64], got (2,)"),
+        (lambda c: (c["split"].update(test_lengths=[13]), c["agents"].append({"kind": "tabular_q"})),
+         "agents[1]: tabular_q supports lengths up to 12, got 13 in split.test_lengths"),
         # Python's json writes and reads NaN and Infinity; the config refuses them, naming the key.
         (lambda c: c["agents"][0].update(bridge_deadline=float("nan")),
          "config key agents[0].bridge_deadline must be a finite number, got NaN"),
