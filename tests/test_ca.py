@@ -36,6 +36,10 @@ class TestDecodeRule:
         for rule in range(256):
             assert list(decode_rule(rule)) == brute_decode(rule)
 
+    def test_table_bits_read_back_the_rule(self):
+        for rule in range(256):
+            assert sum(bit << k for k, bit in enumerate(decode_rule(rule))) == rule
+
 
 class TestStep:
     def test_rule_zero_maps_everything_to_zeros(self):
@@ -65,6 +69,21 @@ class TestStep:
             out = step(t, rule)
             assert out.length == length
             assert step(t, rule) == out
+
+    def test_iterated_steps_match_oracle_orbit(self):
+        orbit = [tape("00100")]
+        for _ in range(2):
+            orbit.append(step(orbit[-1], 90))
+        assert [str(t) for t in orbit] == ["00100", "01010", "10001"]
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            length = int(rng.integers(3, 12))
+            cells = [int(b) for b in rng.integers(0, 2, size=length)]
+            rule = int(rng.integers(0, 256))
+            t = Tape.from_cells(cells)
+            for _ in range(6):
+                t, cells = step(t, rule), brute_step(cells, rule)
+                assert list(t.cells) == cells, rule
 
     def test_periodic_agrees_with_oracle_sampled(self):
         rng = np.random.default_rng(6)
@@ -140,6 +159,24 @@ class TestBitParallelKernel:
             expected = [[step_bits(int(t), length, int(r)) for t, r in zip(row, rule_row)]
                         for row, rule_row in zip(*np.broadcast_arrays(tapes, rule))]
             assert got.tolist() == expected
+
+    @pytest.mark.parametrize("length", [3, 13, 63, MAX_LENGTH])
+    def test_rotation_commutes_with_step(self, length):
+        """The tape is periodic: rotating then stepping equals stepping then rotating, up to a full word."""
+        full = (1 << length) - 1
+        rng = np.random.default_rng(100 + length)
+        tapes = [1, full, 1 << (length - 1)] + [int.from_bytes(rng.bytes(8), "little") & full for _ in range(5)]
+
+        def rotate(bits):
+            return ((bits << 1) | (bits >> (length - 1))) & full
+
+        rules = as_words(range(256))[:, None]
+        stepped = step_bits(as_words(tapes)[None, :], length, rules)
+        rotated = step_bits(as_words([rotate(t) for t in tapes])[None, :], length, rules)
+        assert rotated.tolist() == [[rotate(b) for b in row] for row in stepped.tolist()]
+        for rule in (30, 90, 110):
+            assert [step_bits(rotate(t), length, rule) for t in tapes] == [rotate(step_bits(t, length, rule))
+                                                                          for t in tapes]
 
     def test_out_of_range_rule_rejected(self):
         with pytest.raises(DomainError):

@@ -96,7 +96,7 @@ class TestEnvStep:
 
 
 class TestMatchFraction:
-    @pytest.mark.parametrize("length", [8, 64])
+    @pytest.mark.parametrize("length", [3, 8, 63, 64])
     def test_word_arrays_count_cells_like_ints(self, length):
         tapes = [0, 1, (1 << length) - 1, int("10" * (length // 2), 2)]
         expected = [(length - bin(t).count("1")) / length for t in tapes]

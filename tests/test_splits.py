@@ -92,6 +92,14 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             spec_with(protocol="interpolation")
 
+    def test_length_range_edges(self):
+        spec = spec_with(train_lengths=(3,), test_lengths=(64,))
+        assert (spec.train_lengths, spec.test_lengths) == ((3,), (64,))
+        with pytest.raises(ConfigError, match=r"train_lengths must be non-empty, each in \[3, 64\], got \(2,\)"):
+            spec_with(train_lengths=(2,))
+        with pytest.raises(ConfigError, match=r"test_lengths must be non-empty, each in \[3, 64\], got \(65,\)"):
+            spec_with(test_lengths=(65,))
+
 
 class TestVerifySplit:
     def test_valid_split_has_no_violations(self):
