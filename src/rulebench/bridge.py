@@ -22,7 +22,7 @@ is discarded). A malformed or version-mismatched line, or a missing or
 wrong-typed field, is answered with ``{"v":1,"type":"error","message":...}``
 and aborts the episode in progress. The driver reads each reply from the
 child's pipe under a deadline (``select``, so POSIX only); a reply that is
-not a complete line by then fails the episode.
+not a complete line by then, or that lacks ``"v": 1``, fails the episode.
 
 Both ends write messages with sorted keys and no spaces. The driver finds an
 ``act`` reply in that form in a per-tape-length table of the L+1 such lines,
@@ -161,10 +161,7 @@ class BridgeAgent(Agent):
         self._proc = subprocess.Popen(list(self.cfg.bridge_command), stdin=subprocess.PIPE,
                                       stdout=subprocess.PIPE, text=True)
         self._request("hello")
-        reply = self._response(expect="hello")
-        if reply.get("v") != PROTOCOL_VERSION:
-            self._fail(f"handshake rejected: peer speaks protocol version {reply.get('v')!r}, "
-                       f"driver speaks {PROTOCOL_VERSION}")
+        self._response(expect="hello")
 
     def _request(self, kind: str, **fields: Any) -> None:
         try:
@@ -176,7 +173,8 @@ class BridgeAgent(Agent):
         """The next reply, read from the pipe for at most the time left before the deadline.
 
         A ``hello`` reply gives the message, an ``act`` reply its Action: found in the episode's
-        table, else parsed and decoded (``None`` if ``decode`` is false, as for a done step's placeholder).
+        table, else parsed, checked to carry ``"v": 1`` and decoded (``None`` if ``decode`` is false,
+        as for a done step's placeholder).
         """
         deadline = time.monotonic() + self.cfg.bridge_deadline
         fd = self._proc.stdout.fileno()
@@ -198,6 +196,8 @@ class BridgeAgent(Agent):
             self._fail(str(exc))
         if message.get("type") == "error":
             self._fail(f"peer error: {message.get('message')}")
+        if message.get("v") != PROTOCOL_VERSION:
+            self._fail(f"peer speaks protocol version {message.get('v')!r}, driver speaks {PROTOCOL_VERSION}")
         if message.get("type") != expect:
             self._fail(f"expected {expect!r} response, got {message.get('type')!r}")
         if expect != "act":

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from .agents import AgentConfig, make_agent
-from .codec import from_json
+from .codec import from_json, read_json
 from .errors import ConfigError, DomainError
 from .harness import EPISODE_LOG, MANIFEST_FILE, load_config, render_report, run_experiment, verify_theory
 from .splits import load_split_manifest, verify_split
@@ -95,7 +94,7 @@ def _cmd_verify_theory(args) -> int:
 def _cmd_verify_split(args) -> int:
     try:
         split = load_split_manifest(args.manifest)
-    except ConfigError as exc:  # a manifest its own spec does not generate
+    except ConfigError as exc:  # a manifest that is not JSON, or that its own spec does not generate
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     report = verify_split(split.train_tasks, split.test_tasks, split.spec)
@@ -113,7 +112,7 @@ def _cmd_bridge_serve(args) -> int:
 
     fields = {}
     if args.agent_config is not None:
-        fields = from_json(dict, json.loads(args.agent_config.read_text()), "agent")
+        fields = from_json(dict, read_json(args.agent_config), "agent")
     try:
         rules = tuple(int(r) for r in args.rules.split(",")) if args.rules else tuple(range(256))
     except ValueError:
@@ -137,7 +136,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, DomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # runtime failure distinct from bad input

@@ -10,7 +10,8 @@ an ``int`` refuses a boolean, and a ``float`` accepts an integer but not
 check that a dataclass's constructor or a tape's parse fails keeps its error
 type and is prefixed with the value's path (``agents[1]: plan_horizon must
 be >= 1``, ``obs: tape length must be ...``).
-Plans are built once per type.
+Plans are built once per type. Text that is not JSON is a ``ConfigError``
+that names where it came from (a file, or a file's line).
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ import json
 import math
 import types
 import typing
+from pathlib import Path
 from typing import Any, Callable
 
 from .ca import Tape
 from .errors import ConfigError, DomainError
 
-__all__ = ["from_json", "to_json"]
+__all__ = ["from_json", "parse_json", "read_json", "to_json"]
 
 _JSON_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
                list: "an array", tuple: "an array", dict: "an object", type(None): "null"}
@@ -43,6 +45,19 @@ def to_json(obj: Any) -> Any:
 def from_json(tp: Any, data: Any, path: str = "") -> Any:
     """Decode parsed JSON ``data`` as a ``tp``; errors name the offending key by its ``path``."""
     return _decoder(tp)(data, path)
+
+
+def parse_json(text: str, where: str) -> Any:
+    """``text`` parsed as JSON; text that does not parse is a ``ConfigError`` prefixed with ``where``."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def read_json(path) -> Any:
+    """The JSON file at ``path``, parsed; a file that does not parse is a ``ConfigError`` naming it."""
+    return parse_json(Path(path).read_text(), str(path))
 
 
 def _named(path: str) -> str:

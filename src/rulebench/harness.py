@@ -23,15 +23,17 @@ The output directory is made before the first episode, so a path that cannot
 be a directory fails the run before any work. Each episode becomes its final
 log line and its seed-table entry where it was played (in the worker, under
 the pool), so both are built in their final order with no sort, and no
-record outlives its episode. The log streams to ``episodes.jsonl.tmp``: each
-agent's lines are written as soon as it and every agent before it by name
-are done, so a run holds at most the lines of agents that have finished but
-are not yet written, never the run's transcripts. The manifest is rendered
-after the last log line, to ``manifest.json.tmp``, and only then are both
-renamed into place, so a run that fails leaves the previous pair (or none).
-A run killed outright can leave ``episodes.jsonl.tmp``, which the next run in
-the directory replaces. Only a crash or a failed rename between the two
-renames can leave a new log beside the previous manifest:
+record outlives its episode. ``run_experiment`` then publishes in one
+sequence: it opens ``episodes.jsonl.tmp`` line-buffered; writes each agent's
+lines as soon as it and every agent before it by name are done, and extends
+the seed table (so a run holds at most the lines of agents that are done but
+not yet written, never the run's transcripts); builds the manifest once and
+writes ``manifest.json.tmp``; then renames the log and the manifest into
+place. Any exception before the renames removes both temporary files, so a
+run that fails leaves the previous pair (or none). A run killed outright can
+leave ``episodes.jsonl.tmp``, which the next run in the directory replaces.
+Only a crash or a failed rename between the two renames can leave a new log
+beside the previous manifest:
 
 * ``episodes.jsonl`` — one JSON record per episode (the episode's fields plus
   its ``task_index``/``episode_index`` coordinates), in (agent, task index,
@@ -59,7 +61,7 @@ from . import __version__
 from .agents import MAX_Q_LENGTH, AgentConfig, make_agent
 from .belief import Belief, entropy, info_gain_entropy, info_gain_kl, info_gain_mi
 from .ca import Tape
-from .codec import from_json, to_json
+from .codec import from_json, parse_json, read_json, to_json
 from .env import Action, run_episode
 from .errors import AgentError, ConfigError
 from .seeding import derive_seed, make_rng
@@ -114,7 +116,7 @@ class ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Read a config file; unknown, missing or wrong-typed keys are errors that name their path."""
-    return from_json(ExperimentConfig, json.loads(Path(path).read_text()))
+    return from_json(ExperimentConfig, read_json(path))
 
 
 @dataclass
@@ -132,30 +134,6 @@ class RunManifest:
 
 def cell_seed(base_seed: int, agent_name: str, task_index: int, episode_index: int) -> int:
     return derive_seed(base_seed, agent_name, task_index, episode_index)
-
-
-def _write_atomic(files: dict[Path, Any]) -> None:
-    """Write each path's chunks to a temporary file beside it, then rename all of them into place.
-
-    No path is replaced until every temporary file is complete. A failure while
-    writing (or while producing the chunks) removes the temporary files, so each
-    path keeps its previous content (or stays absent) instead of holding a
-    partial or mismatched file. The files are line-buffered: a temporary file
-    holds every line its chunks have given so far.
-    """
-    renames = []
-    try:
-        for path, chunks in files.items():
-            tmp = path.with_name(path.name + ".tmp")
-            renames.append((tmp, path))
-            with tmp.open("w", buffering=1) as fh:
-                fh.writelines(chunks)
-        for tmp, path in renames:
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp, _ in renames:
-            tmp.unlink(missing_ok=True)
-        raise
 
 
 def _play(agent_cfg: AgentConfig, split: Split, base_seed: int, episodes_per_task: int):
@@ -225,29 +203,26 @@ def run_experiment(config: ExperimentConfig, split: Split | None = None) -> RunM
     agents = sorted(config.agents, key=lambda a: a.name)
     play = partial(_play, split=split, base_seed=config.base_seed, episodes_per_task=config.episodes_per_task)
     workers = min(config.parallelism, os.cpu_count() or 1, len(agents))
-    manifest = RunManifest(
-        name=config.name,
-        config=to_json(config),
-        split=to_json(split),
-        seed_table=[],
-        artifact_version=__version__,
-        started_at=started,
-        finished_at="",
-    )
-
-    def log_lines():
-        for lines, entries in _played(play, agents, workers):
-            manifest.seed_table += entries
-            yield from lines
-        manifest.finished_at = datetime.now(timezone.utc).isoformat()
-
-    # Closed at once if a write fails, so that the pool is shut down before the error leaves.
-    with closing(log_lines()) as log:
-        _write_atomic({
-            out_dir / EPISODE_LOG: log,
-            # Rendered when the log is complete, so that it holds the whole seed table.
-            out_dir / MANIFEST_FILE: (json.dumps(to_json(m), indent=2, sort_keys=True) + "\n" for m in [manifest]),
-        })
+    log_path, manifest_path = out_dir / EPISODE_LOG, out_dir / MANIFEST_FILE
+    log_tmp, manifest_tmp = (path.with_name(path.name + ".tmp") for path in (log_path, manifest_path))
+    seed_table: list[dict[str, Any]] = []
+    try:
+        # Line-buffered, so the file holds every line written. The pool is shut down
+        # before the log is closed, also when a write fails.
+        with log_tmp.open("w", buffering=1) as log, closing(_played(play, agents, workers)) as played:
+            for lines, entries in played:
+                log.writelines(lines)
+                seed_table += entries
+        manifest = RunManifest(name=config.name, config=to_json(config), split=to_json(split),
+                               seed_table=seed_table, artifact_version=__version__, started_at=started,
+                               finished_at=datetime.now(timezone.utc).isoformat())
+        manifest_tmp.write_text(json.dumps(to_json(manifest), indent=2, sort_keys=True) + "\n")
+        os.replace(log_tmp, log_path)
+        os.replace(manifest_tmp, manifest_path)
+    except BaseException:
+        log_tmp.unlink(missing_ok=True)
+        manifest_tmp.unlink(missing_ok=True)
+        raise
     return manifest
 
 
@@ -255,18 +230,25 @@ _REPORT_RECORD_KEYS = ("agent", "success", "task_index")  # what reports read of
 
 
 def load_run(run_dir) -> tuple[RunManifest, list[dict[str, Any]]]:
-    """A run's manifest and log records, refused with a :class:`ConfigError` naming
-    the first manifest field or record key that reports need and do not find."""
+    """A run's manifest and log records, refused with a :class:`ConfigError` naming the file (and
+    line) that is not JSON, or the first manifest field or record key that reports need and do not
+    find, or a ``success`` that is not a number."""
     run_dir = Path(run_dir)
-    manifest = from_json(RunManifest, json.loads((run_dir / MANIFEST_FILE).read_text()), "manifest")
+    manifest = from_json(RunManifest, read_json(run_dir / MANIFEST_FILE), "manifest")
     spec = manifest.split.get("spec")
     if not isinstance(spec, dict) or "protocol" not in spec:
         raise ConfigError("missing config key manifest.split.spec.protocol")
-    records = [json.loads(line) for line in (run_dir / EPISODE_LOG).read_text().splitlines() if line]
-    for n, record in enumerate(records, 1):
+    log = run_dir / EPISODE_LOG
+    records = []
+    for n, line in enumerate(log.read_text().splitlines(), 1):
+        if not line:
+            continue
+        record = parse_json(line, f"{log} line {n}")
         for key in _REPORT_RECORD_KEYS:
             if not isinstance(record, dict) or key not in record:
-                raise ConfigError(f"missing key {key} in {run_dir / EPISODE_LOG} line {n}")
+                raise ConfigError(f"missing key {key} in {log} line {n}")
+        from_json(float, record["success"], f"success in {log} line {n}")
+        records.append(record)
     return manifest, records
 
 

@@ -25,7 +25,7 @@ from typing import Any
 
 from . import ca
 from .env import TaskSpec, make_target
-from .codec import from_json, to_json
+from .codec import from_json, read_json, to_json
 from .errors import ConfigError
 from .seeding import derive_seed, make_rng
 
@@ -197,7 +197,7 @@ def save_split_manifest(split: Split, path) -> None:
 
 def load_split_manifest(path) -> Split:
     """The split of a split manifest, or of a run manifest, which records it under ``split``."""
-    data = json.loads(Path(path).read_text())
+    data = read_json(path)
     if isinstance(data, dict) and "spec" not in data and "split" in data:
         data = data["split"]
     return split_from_manifest(data)

@@ -182,6 +182,19 @@ class TestBridgeFailures:
         with pytest.raises(AgentError, match="version"):
             agent.begin_episode(demo_task(), Tape.from_string("010101"), seed=0)
 
+    def test_version_mismatch_after_the_handshake_closes_the_peer(self, monkeypatch):
+        started = recorded_processes(monkeypatch)
+        agent = BridgeAgent(AgentConfig(kind="bridge", name="drifting", bridge_deadline=5.0,
+                                        bridge_command=replying('{"v": 2, "type": "act", "action": {"kind": "no_op"}}')))
+        try:
+            with pytest.raises(AgentError, match="peer speaks protocol version 2, driver speaks 1"):
+                run_episode(demo_task(), agent, episode_seed=0)
+            assert agent._proc is None
+            (proc,) = started
+            assert proc.returncode is not None and proc.stdin.closed and proc.stdout.closed
+        finally:
+            agent.close()
+
     def test_malformed_response_aborts_episode(self):
         cfg = AgentConfig(kind="bridge", name="garbled", bridge_command=script_command(GARBAGE_SCRIPT),
                           bridge_deadline=5.0)

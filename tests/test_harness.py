@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import re
+import threading
 import time
 from pathlib import Path
 
@@ -279,6 +280,42 @@ class TestRunExperiment:
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["episodes.jsonl", "manifest.json"]
         for name, content in before.items():
             assert (tmp_path / "run" / name).read_bytes() == content
+
+    def test_unopenable_log_plays_no_episode(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path / "run")
+        run_experiment(cfg)
+        before = {name: (tmp_path / "run" / name).read_bytes() for name in ("episodes.jsonl", "manifest.json")}
+
+        real_open = Path.open
+
+        def failing_open(self, *args, **kwargs):
+            if self.name == "episodes.jsonl.tmp":
+                raise PermissionError(13, "simulated: permission denied")
+            return real_open(self, *args, **kwargs)
+
+        episodes = []
+        monkeypatch.setattr(Path, "open", failing_open)
+        monkeypatch.setattr(harness, "run_episode", lambda *args: episodes.append(args))
+        with pytest.raises(PermissionError, match="permission denied"):
+            run_experiment(dataclasses.replace(cfg, base_seed=78))
+        monkeypatch.undo()
+        assert episodes == []
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["episodes.jsonl", "manifest.json"]
+        for name, content in before.items():
+            assert (tmp_path / "run" / name).read_bytes() == content
+
+    def test_serial_run_starts_no_threads(self, tmp_path, monkeypatch):
+        counts = []
+        real_run_episode = harness.run_episode
+
+        def counting(task, agent, seed):
+            counts.append(threading.active_count())
+            return real_run_episode(task, agent, seed)
+
+        monkeypatch.setattr(harness, "run_episode", counting)
+        before = threading.active_count()
+        run_experiment(small_config(tmp_path / "run", parallelism=1))
+        assert len(counts) == 2 * 3 * 3 and set(counts) == {before}
 
     def test_smoke_config_under_five_seconds(self, tmp_path):
         cfg = ExperimentConfig(
@@ -577,17 +614,39 @@ class TestCli:
         ("manifest.json", lambda d: d["split"]["spec"].pop("protocol"),
          "missing config key manifest.split.spec.protocol"),
         ("episodes.jsonl", lambda d: d.pop("success"), "missing key success in .*episodes.jsonl line 1"),
+        ("episodes.jsonl", lambda d: d.update(success="yes"),
+         r"config key success in .*episodes\.jsonl line 1 must be a number, got a string"),
+        ("episodes.jsonl", None, r"episodes\.jsonl line 1: Expecting ',' delimiter"),  # the line cut short
     ])
     def test_report_on_malformed_run_is_validation_failure(self, tmp_path, capsys, name, edit, message):
         assert cli_main(["run", str(self.write_config(tmp_path))]) == 0
         path = tmp_path / "out" / name
         lines = path.read_text().splitlines()
-        data = json.loads(lines[0] if name == "episodes.jsonl" else "\n".join(lines))
-        edit(data)
-        path.write_text(json.dumps(data) + "\n" + "\n".join(lines[1:] if name == "episodes.jsonl" else []))
+        text = lines[0][:-1]
+        if edit is not None:
+            data = json.loads(lines[0] if name == "episodes.jsonl" else "\n".join(lines))
+            edit(data)
+            text = json.dumps(data)
+        path.write_text(text + "\n" + "\n".join(lines[1:] if name == "episodes.jsonl" else []))
         capsys.readouterr()
         assert cli_main(["report", str(tmp_path / "out"), "--mode", "ood"]) == 1
         assert re.search(message, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name,argv", [
+        ("config.json", lambda bad: ["run", str(bad)]),
+        ("split.json", lambda bad: ["run", str(CONFIGS / "smoke.json"), "--split-manifest", str(bad),
+                                    "--output-dir", str(bad.parent / "out")]),
+        ("split.json", lambda bad: ["verify-split", str(bad)]),
+        ("manifest.json", lambda bad: ["report", str(bad.parent), "--mode", "ood"]),
+        ("agent.json", lambda bad: ["bridge-serve", "random", "--agent-config", str(bad)]),
+    ], ids=["config", "split-manifest", "verify-split", "run-manifest", "agent-config"])
+    def test_unparseable_json_file_is_named(self, tmp_path, capsys, name, argv):
+        bad = tmp_path / name
+        bad.write_text('{\n  "name": ,\n}\n')
+        (tmp_path / "episodes.jsonl").write_text("")  # so that report reads tmp_path as a run
+        assert cli_main(argv(bad)) == 1
+        assert f"{bad}: Expecting value: line 2 column 11" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_runtime_key_error_is_runtime_failure(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):
