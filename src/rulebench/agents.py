@@ -17,8 +17,10 @@ impossible under every hypothesis (the true rule is outside the hypothesis
 set), belief agents reset to the uniform prior and keep going: surprise makes
 them uncertain again, but cannot make them right.
 
-Every agent draws randomness only from a per-episode PCG64 stream, so an
-episode transcript is a pure function of (task, config, seed).
+Every agent draws randomness only from a per-episode PCG64 stream derived
+from the episode's cell seed, which hashes the agent's name; there is no
+separate agent seed. An episode transcript is a pure function of (task,
+config, seed).
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ __all__ = [
     "plan_mpc",
 ]
 
-AGENT_KINDS = ("random", "oracle_mpc", "belief_mpc", "belief_mpc_ig", "fallback_mpc", "tabular_q", "bridge")
-
 MAX_Q_LENGTH = 12  # tabular state index is the packed tape; beyond this the table leaves desk scale
 EXACT_MIXTURE_LIMIT = 16
 
@@ -68,7 +68,6 @@ class AgentConfig:
     q_learning_rate: float = 0.1
     q_discount: float = 0.9
     q_exploration: float = 0.1
-    agent_seed: int = 0
     exact_mixture: bool = False
     mixture_rules: int = 8
     bridge_command: tuple[str, ...] | None = None
@@ -116,6 +115,18 @@ class Agent:
 
     def close(self) -> None:
         pass
+
+
+class _BuiltinAgent(Agent):
+    """An agent built from its config; each episode stores its task and draws from its own stream."""
+
+    def __init__(self, cfg: AgentConfig):
+        super().__init__(cfg.name)
+        self.cfg = cfg
+
+    def begin_episode(self, task: TaskSpec, obs: Tape, seed: int) -> None:
+        self.task = task
+        self._rng = make_rng(seed, 0)  # the derivation every pinned log was recorded with
 
 
 def plan_mpc(
@@ -183,38 +194,21 @@ def max_ig_action(belief: Belief, state: Tape) -> Action:
     return Action.from_order_index(gains.index(max(gains)), state.length)
 
 
-class RandomAgent(Agent):
+class RandomAgent(_BuiltinAgent):
     """Uniform over the ``L + 1`` actions; the floor baseline."""
 
-    def __init__(self, cfg: AgentConfig):
-        super().__init__(cfg.name)
-        self.cfg = cfg
-
-    def begin_episode(self, task: TaskSpec, obs: Tape, seed: int) -> None:
-        self._rng = make_rng(seed, self.cfg.agent_seed)
-        self._length = task.length
-
     def act(self, obs: Tape) -> Action:
-        return Action.from_order_index(int(self._rng.integers(0, self._length + 1)), self._length)
+        return Action.from_order_index(int(self._rng.integers(0, self.task.length + 1)), self.task.length)
 
 
-class OracleMpcAgent(Agent):
+class OracleMpcAgent(_BuiltinAgent):
     """MPC planner given the task's true rule; isolates model error from planning error."""
 
-    def __init__(self, cfg: AgentConfig):
-        super().__init__(cfg.name)
-        self.cfg = cfg
-
-    def begin_episode(self, task: TaskSpec, obs: Tape, seed: int) -> None:
-        self._rng = make_rng(seed, self.cfg.agent_seed)
-        self._rule = task.rule
-        self._target = task.target
-
     def act(self, obs: Tape) -> Action:
-        return plan_mpc((self._rule,), np.ones(1), obs, self._target, self.cfg, self._rng)
+        return plan_mpc((self.task.rule,), np.ones(1), obs, self.task.target, self.cfg, self._rng)
 
 
-class BeliefMpcAgent(Agent):
+class BeliefMpcAgent(_BuiltinAgent):
     """MPC under the exact posterior over a fixed hypothesis rule set.
 
     ``hypothesis_rules`` is the agent's world model: rules outside it cannot
@@ -224,23 +218,21 @@ class BeliefMpcAgent(Agent):
     """
 
     def __init__(self, cfg: AgentConfig, hypothesis_rules):
-        super().__init__(cfg.name)
-        self.cfg = cfg
+        super().__init__(cfg)
         hypothesis_rules = tuple(hypothesis_rules)
         if not hypothesis_rules:
             raise ConfigError("belief agents need a non-empty hypothesis rule set")
         self.prior = Belief.uniform(hypothesis_rules)
 
     def begin_episode(self, task: TaskSpec, obs: Tape, seed: int) -> None:
-        self._rng = make_rng(seed, self.cfg.agent_seed)
-        self._target = task.target
+        super().begin_episode(task, obs, seed)
         self.belief = self.prior
 
     def act(self, obs: Tape) -> Action:
         bonus = None
         if self.cfg.kind == "belief_mpc_ig" and self.cfg.ig_weight > 0.0:
             bonus = {i: self.cfg.ig_weight * gain for i, gain in enumerate(info_gain_sweep(self.belief, obs))}
-        return plan_mpc(self.belief.support, self.belief.probs, obs, self._target, self.cfg, self._rng, bonus)
+        return plan_mpc(self.belief.support, self.belief.probs, obs, self.task.target, self.cfg, self._rng, bonus)
 
     def observe(self, state: Tape, action: Action, reward: float, next_state: Tape, done: bool) -> None:
         try:
@@ -271,7 +263,7 @@ class FallbackMpcAgent(BeliefMpcAgent):
         return super().act(obs)
 
 
-class TabularQAgent(Agent):
+class TabularQAgent(_BuiltinAgent):
     """One-step Q-learning over packed-tape states with an epsilon-greedy policy.
 
     The Q table persists across this instance's episodes (its training run),
@@ -280,51 +272,44 @@ class TabularQAgent(Agent):
     """
 
     def __init__(self, cfg: AgentConfig):
-        super().__init__(cfg.name)
-        self.cfg = cfg
+        super().__init__(cfg)
         self.q: dict[tuple[int, int], np.ndarray] = {}
 
     def begin_episode(self, task: TaskSpec, obs: Tape, seed: int) -> None:
         if task.length > MAX_Q_LENGTH:
             raise ConfigError(f"tabular_q supports lengths up to {MAX_Q_LENGTH}, got {task.length}")
-        self._rng = make_rng(seed, self.cfg.agent_seed)
-        self._length = task.length
+        super().begin_episode(task, obs, seed)
 
     def _row(self, bits: int) -> np.ndarray:
-        key = (self._length, bits)
+        key = (self.task.length, bits)
         row = self.q.get(key)
         if row is None:
-            row = self.q[key] = np.zeros(self._length + 1)
+            row = self.q[key] = np.zeros(self.task.length + 1)
         return row
 
     def act(self, obs: Tape) -> Action:
         if self._rng.random() < self.cfg.q_exploration:
-            i = int(self._rng.integers(0, self._length + 1))
+            i = int(self._rng.integers(0, self.task.length + 1))
         else:
             i = int(np.argmax(self._row(obs.bits)))
-        return Action.from_order_index(i, self._length)
+        return Action.from_order_index(i, self.task.length)
 
     def observe(self, state: Tape, action: Action, reward: float, next_state: Tape, done: bool) -> None:
         row = self._row(state.bits)
-        i = action.order_index(self._length)
+        i = action.order_index(self.task.length)
         bootstrap = float(np.max(self._row(next_state.bits)))
         row[i] += self.cfg.q_learning_rate * (reward + self.cfg.q_discount * bootstrap - row[i])
 
 
+_CLASSES = {"random": RandomAgent, "oracle_mpc": OracleMpcAgent, "belief_mpc": BeliefMpcAgent,
+            "belief_mpc_ig": BeliefMpcAgent, "fallback_mpc": FallbackMpcAgent, "tabular_q": TabularQAgent}
+AGENT_KINDS = (*_CLASSES, "bridge")
+
+
 def make_agent(cfg: AgentConfig, hypothesis_rules=()) -> Agent:
     """Instantiate an agent; belief-family agents hypothesize over ``hypothesis_rules``."""
-    if cfg.kind == "random":
-        return RandomAgent(cfg)
-    if cfg.kind == "oracle_mpc":
-        return OracleMpcAgent(cfg)
-    if cfg.kind in ("belief_mpc", "belief_mpc_ig"):
-        return BeliefMpcAgent(cfg, hypothesis_rules)
-    if cfg.kind == "fallback_mpc":
-        return FallbackMpcAgent(cfg, hypothesis_rules)
-    if cfg.kind == "tabular_q":
-        return TabularQAgent(cfg)
     if cfg.kind == "bridge":
         from .bridge import BridgeAgent  # avoid a module cycle
-
         return BridgeAgent(cfg)
-    raise ConfigError(f"unknown agent kind {cfg.kind!r}")
+    cls = _CLASSES[cfg.kind]
+    return cls(cfg, hypothesis_rules) if issubclass(cls, BeliefMpcAgent) else cls(cfg)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .agents import AgentConfig, make_agent
 from .codec import from_json, read_json
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, SplitViolation
 from .harness import EPISODE_LOG, MANIFEST_FILE, load_config, render_report, run_experiment, verify_theory
 from .splits import load_split_manifest, verify_split
 
@@ -94,10 +94,10 @@ def _cmd_verify_theory(args) -> int:
 def _cmd_verify_split(args) -> int:
     try:
         split = load_split_manifest(args.manifest)
-    except ConfigError as exc:  # a manifest that is not JSON, or that its own spec does not generate
+    except SplitViolation as exc:  # a manifest that its own spec does not generate; other bad input is an error
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    report = verify_split(split.train_tasks, split.test_tasks, split.spec)
+    report = verify_split(split.train_tasks, split.test_tasks, split.spec, split.train_rules)
     if report.ok:
         print(f"split manifest {args.manifest} is valid "
               f"({len(split.train_tasks)} train / {len(split.test_tasks)} test tasks)")
@@ -136,7 +136,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, DomainError, FileNotFoundError) as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # runtime failure distinct from bad input

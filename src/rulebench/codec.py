@@ -10,8 +10,9 @@ an ``int`` refuses a boolean, and a ``float`` accepts an integer but not
 check that a dataclass's constructor or a tape's parse fails keeps its error
 type and is prefixed with the value's path (``agents[1]: plan_horizon must
 be >= 1``, ``obs: tape length must be ...``).
-Plans are built once per type. Text that is not JSON is a ``ConfigError``
-that names where it came from (a file, or a file's line).
+Plans are built once per type. Text that is not JSON, or a file that cannot
+be read, is a ``ConfigError`` that names where it came from (a file, or a
+file's line).
 """
 
 from __future__ import annotations
@@ -56,8 +57,12 @@ def parse_json(text: str, where: str) -> Any:
 
 
 def read_json(path) -> Any:
-    """The JSON file at ``path``, parsed; a file that does not parse is a ``ConfigError`` naming it."""
-    return parse_json(Path(path).read_text(), str(path))
+    """The JSON file at ``path``, parsed; a file that is unreadable or not JSON is a ``ConfigError`` naming it."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
+    return parse_json(text, str(path))
 
 
 def _named(path: str) -> str:

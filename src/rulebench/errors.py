@@ -13,6 +13,10 @@ class ConfigError(ValueError):
     """A configuration is internally inconsistent or outside supported limits."""
 
 
+class SplitViolation(ConfigError):
+    """A split manifest differs from the split its own spec generates."""
+
+
 class InconsistentObservationError(RuntimeError):
     """An observed transition has zero likelihood under every hypothesis.
 

@@ -191,7 +191,7 @@ def run_experiment(config: ExperimentConfig, split: Split | None = None) -> RunM
         split = make_split(config.split)
     else:
         config = replace(config, split=split.spec)
-    report = verify_split(split.train_tasks, split.test_tasks, split.spec)
+    report = verify_split(split.train_tasks, split.test_tasks, split.spec, split.train_rules)
     if not report.ok:
         raise ConfigError("split verification failed: " + "; ".join(report.violations))
     out_dir = Path(config.output_dir)

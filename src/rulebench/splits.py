@@ -26,7 +26,7 @@ from typing import Any
 from . import ca
 from .env import TaskSpec, make_target
 from .codec import from_json, read_json, to_json
-from .errors import ConfigError
+from .errors import ConfigError, SplitViolation
 from .seeding import derive_seed, make_rng
 
 __all__ = [
@@ -138,8 +138,12 @@ def make_split(spec: SplitSpec) -> Split:
     return Split(spec, train_rules, test_rules, train_tasks, test_tasks)
 
 
-def verify_split(train: tuple[TaskSpec, ...], test: tuple[TaskSpec, ...], spec: SplitSpec) -> SplitReport:
-    """Check the protocol's validity properties; violations are returned, not raised."""
+def verify_split(train: tuple[TaskSpec, ...], test: tuple[TaskSpec, ...], spec: SplitSpec,
+                 hypothesis_rules: tuple[int, ...] = ()) -> SplitReport:
+    """Check the protocol's validity properties; violations are returned, not raised.
+
+    Under ``holdout_rule``, ``hypothesis_rules`` (a split's ``train_rules``, the belief agents' world model)
+    must hold no test task's rule."""
     violations: list[str] = []
     train_rules = {t.rule for t in train}
     test_rules = {t.rule for t in test}
@@ -160,6 +164,8 @@ def verify_split(train: tuple[TaskSpec, ...], test: tuple[TaskSpec, ...], spec: 
     if spec.protocol == "holdout_rule":
         for rule in sorted(train_rules & test_rules):
             violations.append(f"rule {rule} appears in both train and test")
+        for rule in sorted(set(hypothesis_rules) & test_rules):
+            violations.append(f"test rule {rule} is in train_rules, the agents' world model")
     elif spec.protocol == "id":
         for rule in sorted(test_rules - train_rules):
             violations.append(f"test rule {rule} does not appear in the train rule set")
@@ -186,8 +192,8 @@ def split_from_manifest(data: dict[str, Any]) -> Split:
     expected = to_json(split)
     for field in [*expected, *data]:
         if field != "spec" and data.get(field) != expected.get(field):
-            raise ConfigError(f"split verification failed: manifest field {field!r} differs "
-                              f"from the split its spec generates")
+            raise SplitViolation(f"split verification failed: manifest field {field!r} differs "
+                                 f"from the split its spec generates")
     return split
 
 

@@ -2,9 +2,9 @@
 
 Conventions, fixed so that reported tables are reproducible to the digit:
 
-* 95% normal intervals use z = 1.96 exactly (other levels invert the normal
-  CDF numerically); success-rate intervals may be clipped to [0, 1] but
-  difference intervals never are.
+* 95% normal intervals use z = 1.96 exactly (other levels use the inverse
+  normal CDF of :class:`statistics.NormalDist`); success-rate intervals may be
+  clipped to [0, 1] but difference intervals never are.
 * Sample standard deviations use the n-1 denominator; a group of size 1
   reports std 0.
 * The Student-t CDF is computed in-house via the regularized incomplete beta
@@ -158,26 +158,13 @@ def student_t_cdf(t: float, dof: float) -> float:
     return 1.0 - half_p if t >= 0 else half_p
 
 
-def _normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF by bisection on math.erf (used for levels != 0.95)."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"quantile probability must be in (0, 1), got {p}")
-    lo, hi = -40.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if 0.5 * (1.0 + math.erf(mid / math.sqrt(2.0))) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _z_for_level(level: float) -> float:
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
     if abs(level - 0.95) < 1e-12:
         return Z_95
-    return _normal_quantile(0.5 * (1.0 + level))
+    from statistics import NormalDist  # here, not at import: it loads decimal and fractions, ~0.5 MB
+    return NormalDist().inv_cdf(0.5 * (1.0 + level))
 
 
 # --- intervals -------------------------------------------------------------

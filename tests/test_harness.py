@@ -72,6 +72,18 @@ class TestRunExperiment:
         statuses = {e["agent"]: e["status"] for e in pooled.seed_table}
         assert statuses["random"] == "ok" and statuses["absent"].startswith("failed: agent 'absent' failed to start")
 
+    def test_split_leaking_test_rules_into_train_rules_is_refused(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path / "out")
+        split = make_split(cfg.split)
+        leaky = dataclasses.replace(split, train_rules=split.train_rules + split.test_rules)
+        episodes = []
+        monkeypatch.setattr(harness, "run_episode", lambda *args: episodes.append(args))
+        rule = min(t.rule for t in split.test_tasks)
+        with pytest.raises(ConfigError, match=rf"^split verification failed: test rule {rule} is in train_rules"):
+            run_experiment(cfg, split=leaky)
+        assert episodes == []
+        assert not (tmp_path / "out").exists()
+
     def test_rerun_reproduces_seed_table(self, tmp_path):
         cfg = small_config(tmp_path / "a")
         first = run_experiment(cfg)
@@ -435,8 +447,8 @@ class TestConfigIO:
         (lambda d: d["agents"][0].pop("kind"), r"missing config key agents\[0\]\.kind"),
         (lambda d: d["agents"][1].update(exact_mixture="false"),
          r"config key agents\[1\]\.exact_mixture must be a boolean, got a string"),
-        (lambda d: d["agents"][0].update(agent_seed="3"),
-         r"config key agents\[0\]\.agent_seed must be an integer, got a string"),
+        (lambda d: d["agents"][0].update(rollout_budget="3"),
+         r"config key agents\[0\]\.rollout_budget must be an integer, got a string"),
         (lambda d: d["agents"][1].update(plan_horizon=2.0),
          r"config key agents\[1\]\.plan_horizon must be an integer, got a number"),
         (lambda d: d.update(episodes_per_task="2"), "config key episodes_per_task must be an integer, got a string"),
@@ -448,6 +460,7 @@ class TestConfigIO:
         (lambda d: d["split"].update(candidate_rules="90"),
          "config key split.candidate_rules must be an array, got a string"),
         (lambda d: d.update(agents=d["agents"][0]), "config key agents must be an array, got an object"),
+        (lambda d: d["agents"][0].update(agent_seed=0), r"unknown config key agents\[0\]\.agent_seed"),
     ])
     def test_unknown_and_missing_keys_name_their_path(self, tmp_path, edit, message):
         data = to_json(small_config(tmp_path / "out"))
@@ -597,8 +610,28 @@ class TestCli:
         assert cli_main(["bridge-serve", "random", "--agent-config", str(path)]) == 1
         assert "config key agent must be an object, got an array" in capsys.readouterr().err
 
-    def test_missing_config_is_validation_failure(self, tmp_path):
-        assert cli_main(["run", str(tmp_path / "nope.json")]) == 1
+    @pytest.mark.parametrize("make,reason", [(lambda path: None, "No such file or directory"),
+                                             (Path.mkdir, "Is a directory")], ids=["missing", "directory"])
+    def test_missing_config_is_validation_failure(self, tmp_path, capsys, make, reason):
+        path = tmp_path / "config.json"
+        make(path)
+        assert cli_main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: cannot read: {reason}\n"
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d["spec"].pop("protocol"), "missing config key spec.protocol"),
+        (lambda d: d["spec"].update(split_seed="2"), "config key spec.split_seed must be an integer, got a string"),
+        (lambda d: d.pop("spec"), "a split manifest is a JSON object with a 'spec'"),
+    ])
+    def test_verify_split_calls_a_malformed_manifest_an_error(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "split.json"
+        save_split_manifest(make_split(small_config(tmp_path / "out").split), path)
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        assert cli_main(["verify-split", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "violation" not in err
 
     def test_misspelled_config_key_is_validation_failure(self, tmp_path, capsys):
         config_path = self.write_config(tmp_path)
@@ -645,7 +678,9 @@ class TestCli:
         bad.write_text('{\n  "name": ,\n}\n')
         (tmp_path / "episodes.jsonl").write_text("")  # so that report reads tmp_path as a run
         assert cli_main(argv(bad)) == 1
-        assert f"{bad}: Expecting value: line 2 column 11" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{bad}: Expecting value: line 2 column 11" in err
+        assert "violation" not in err
         assert not (tmp_path / "out").exists()
 
     def test_runtime_key_error_is_runtime_failure(self, tmp_path, monkeypatch, capsys):

@@ -119,6 +119,18 @@ class TestVerifySplit:
         assert len(rule_violations) == 1
         assert str(leaked_rule) in rule_violations[0]
 
+    def test_test_rule_in_hypothesis_rules_named_under_holdout_rule(self):
+        split = make_split(spec_with())
+        leaked = split.train_rules + split.test_rules
+        assert verify_split(split.train_tasks, split.test_tasks, split.spec, split.train_rules).ok
+        report = verify_split(split.train_tasks, split.test_tasks, split.spec, leaked)
+        assert report.violations == [f"test rule {rule} is in train_rules, the agents' world model"
+                                     for rule in sorted(set(split.test_rules))]
+
+    def test_hypothesis_rules_may_hold_test_rules_under_id(self):
+        split = make_split(spec_with(protocol="id"))
+        assert verify_split(split.train_tasks, split.test_tasks, split.spec, split.test_rules).ok
+
     def test_shared_length_named_in_violation(self):
         spec = spec_with(protocol="holdout_length", train_lengths=(8,), test_lengths=(10,))
         split = make_split(spec)
