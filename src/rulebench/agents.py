@@ -8,14 +8,14 @@ the whole sequence space the planner enumerates it instead, which makes the
 choice exact. Score ties always break to the lowest action index, with
 ``no_op`` ordered after every flip.
 
-The belief planner maintains the exact posterior over its hypothesis rules
-and plans against that mixture; the ``belief_mpc_ig`` variant adds an
-information-gain bonus for the first action of each candidate sequence. The
-fallback variant acts greedily on information gain while the belief is more
-uncertain than a threshold, and otherwise plans. If an observation is
-impossible under every hypothesis (the true rule is outside the hypothesis
-set), belief agents reset to the uniform prior and keep going: surprise makes
-them uncertain again, but cannot make them right.
+The belief planner keeps a version space, the hypothesis rules still
+consistent with every transition seen, and plans against the uniform mixture
+over them (the exact posterior); ``belief_mpc_ig`` adds an information-gain
+bonus for the first action of each candidate sequence. The fallback variant
+acts greedily on information gain while the live rules' entropy exceeds a
+threshold, and otherwise plans. If an observation rules out every live rule
+(the true rule is outside the hypothesis set), all hypothesis rules become
+live again: surprise makes the agent uncertain again, but cannot make it right.
 
 Every agent draws randomness only from a per-episode PCG64 stream derived
 from the episode's cell seed, which hashes the agent's name; there is no
@@ -30,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# info_gain_entropy is not called here; perfbench/tracer.py looks it up in this module.
-from .belief import Belief, entropy, info_gain_entropy, info_gain_sweep, posterior_update  # noqa: F401
+# info_gain_entropy and posterior_update are not called here; perfbench/tracer.py looks them up in this module.
+from .belief import Belief, _predict, info_gain_entropy, info_gain_sweep, posterior_update, uniform_entropy  # noqa: F401
 from .ca import Tape, as_words, step_bits
-from .env import Action, TaskSpec, Transition, action_flips, match_fraction
-from .errors import ConfigError, InconsistentObservationError
+from .env import Action, TaskSpec, action_flips, intervene, match_fraction
+from .errors import ConfigError
 from .seeding import make_rng
 
 __all__ = [
@@ -188,9 +188,9 @@ def plan_mpc(
     return Action.from_order_index(best_first, length)
 
 
-def max_ig_action(belief: Belief, state: Tape) -> Action:
-    """The one-step action with maximal information gain; ties to the lowest index."""
-    gains = info_gain_sweep(belief, state)
+def max_ig_action(live, state: Tape) -> Action:
+    """The one-step action with maximal information gain over the live rules; ties to the lowest index."""
+    gains = info_gain_sweep(live, state)
     return Action.from_order_index(gains.index(max(gains)), state.length)
 
 
@@ -209,44 +209,44 @@ class OracleMpcAgent(_BuiltinAgent):
 
 
 class BeliefMpcAgent(_BuiltinAgent):
-    """MPC under the exact posterior over a fixed hypothesis rule set.
+    """MPC under the exact posterior over a fixed hypothesis rule set: uniform over the live rules.
 
     ``hypothesis_rules`` is the agent's world model: rules outside it cannot
     be represented, which is exactly what makes heldout-rule tasks hard. The
-    uniform prior over them is built, and each rule checked, once; every
-    episode starts from it and every reset returns to it.
+    rules are checked once; every episode starts with all of them live, and
+    every reset makes them all live again.
     """
 
     def __init__(self, cfg: AgentConfig, hypothesis_rules):
         super().__init__(cfg)
-        hypothesis_rules = tuple(hypothesis_rules)
-        if not hypothesis_rules:
+        self.rules = tuple(hypothesis_rules)
+        if not self.rules:
             raise ConfigError("belief agents need a non-empty hypothesis rule set")
-        self.prior = Belief.uniform(hypothesis_rules)
+        Belief.uniform(self.rules)  # refuses duplicates and rules outside [0, 255]
 
     def begin_episode(self, task: TaskSpec, obs: Tape, seed: int) -> None:
         super().begin_episode(task, obs, seed)
-        self.belief = self.prior
+        self.live = self.rules
 
     def act(self, obs: Tape) -> Action:
         bonus = None
         if self.cfg.kind == "belief_mpc_ig" and self.cfg.ig_weight > 0.0:
-            bonus = {i: self.cfg.ig_weight * gain for i, gain in enumerate(info_gain_sweep(self.belief, obs))}
-        return plan_mpc(self.belief.support, self.belief.probs, obs, self.task.target, self.cfg, self._rng, bonus)
+            bonus = {i: self.cfg.ig_weight * gain for i, gain in enumerate(info_gain_sweep(self.live, obs))}
+        weights = np.full(len(self.live), 1.0 / len(self.live))
+        return plan_mpc(self.live, weights, obs, self.task.target, self.cfg, self._rng, bonus)
 
     def observe(self, state: Tape, action: Action, reward: float, next_state: Tape, done: bool) -> None:
-        try:
-            self.belief = posterior_update(self.belief, Transition(state, action, next_state))
-        except InconsistentObservationError:
-            self.belief = self.prior
+        predicted = _predict(self.live, [intervene(state, action).bits], state.length)[:, 0].tolist()
+        live = tuple(rule for rule, bits in zip(self.live, predicted) if bits == next_state.bits)
+        self.live = live or self.rules
 
 
 class FallbackMpcAgent(BeliefMpcAgent):
     """Explore for information while uncertain, plan once the belief is sharp.
 
-    While belief entropy exceeds ``entropy_threshold`` (bits) the agent takes
-    the max-information-gain action; below it, it defers to the belief
-    planner. ``last_mode`` records which branch the latest decision took.
+    While the live rules' entropy exceeds ``entropy_threshold`` (bits) the
+    agent takes the max-information-gain action; below it, it defers to the
+    belief planner. ``last_mode`` records which branch the latest decision took.
     """
 
     last_mode: str | None = None
@@ -256,9 +256,9 @@ class FallbackMpcAgent(BeliefMpcAgent):
         self.last_mode = None
 
     def act(self, obs: Tape) -> Action:
-        if entropy(self.belief) > self.cfg.entropy_threshold:
+        if uniform_entropy(len(self.live)) > self.cfg.entropy_threshold:
             self.last_mode = "explore"
-            return max_ig_action(self.belief, obs)
+            return max_ig_action(self.live, obs)
         self.last_mode = "plan"
         return super().act(obs)
 

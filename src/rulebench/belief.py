@@ -16,14 +16,19 @@ that are mathematically identical:
 Their agreement (to float noise) is a machine-checkable identity; the
 ``verify-theory`` harness entry point runs that check at scale.
 
+From a uniform prior, 0/1 likelihoods keep the posterior uniform over the
+rules still consistent with what was seen (a version space): belief agents
+keep just those live rules, and ``info_gain_sweep`` scores actions over them.
+
 Entropies and divergences are reported in bits. Beliefs are immutable;
-updates return new values, so an agent builds its prior once and returns
-to that same value at every episode start and every reset.
+updates return new values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +46,7 @@ __all__ = [
     "info_gain_mi",
     "info_gain_sweep",
     "posterior_update",
+    "uniform_entropy",
 ]
 
 PROB_TOL = 1e-12
@@ -154,32 +160,35 @@ def info_gain_entropy(belief: Belief, s: Tape, a: Action) -> float:
     return entropy(belief) - expected_posterior_entropy
 
 
-def info_gain_sweep(belief: Belief, s: Tape) -> list[float]:
-    """Information gain of every action at ``s``, indexed by action order.
+@functools.cache
+def uniform_entropy(m: int) -> float:
+    """Entropy of the uniform belief over ``m`` rules, in bits, exactly as :func:`entropy` computes it."""
+    return _entropy_bits(np.full(m, 1.0 / m))
 
-    One kernel call predicts every (rule, action) pair; each value then
-    repeats :func:`info_gain_entropy`'s grouping and summation order, so it
-    is equal to that function's result, not merely close to it. There, an
-    outcome only one rule predicts has a delta posterior and adds exactly
-    ``mass * -0.0``, which leaves the sum unchanged; the sweep skips it.
+
+@functools.cache
+def _outcome_term(m: int, n: int) -> float:
+    """``mass * H(posterior)`` of an outcome ``n`` of ``m`` equally likely rules predict, as in ``info_gain_entropy``."""
+    p = np.full(n, 1.0 / m)
+    mass = float(p.sum())
+    return mass * _entropy_bits(p / mass)
+
+
+def info_gain_sweep(live, s: Tape) -> list[float]:
+    """Information gain of every action at ``s`` under the uniform belief over ``live``, by action order.
+
+    One kernel call predicts every (rule, action) pair. Each value sums terms
+    tabulated by (live count, outcome group size) in the order of
+    :func:`info_gain_entropy`, so it equals that function's result on
+    ``Belief.uniform(live)``. There, an outcome only one rule predicts adds
+    exactly ``mass * -0.0``, which leaves the sum unchanged; the sweep skips it.
     """
-    length = s.length
-    alive = np.flatnonzero(belief.probs > 0.0).tolist()
-    inputs = [s.bits ^ flip for flip in action_flips(length)]
-    predicted = _predict([belief.support[i] for i in alive], inputs, length)
-    prior_entropy = entropy(belief)
+    m = len(live)
+    predicted = _predict(live, [s.bits ^ flip for flip in action_flips(s.length)], s.length)
     gains = []
     for column in predicted.T.tolist():
-        groups: dict[int, list[int]] = {}
-        for idx, bits in zip(alive, column):
-            groups.setdefault(bits, []).append(idx)
-        expected_posterior_entropy = 0
-        for idxs in groups.values():
-            if len(idxs) == 1:
-                continue
-            mass = float(belief.probs[idxs].sum())
-            expected_posterior_entropy += mass * _entropy_bits((belief.probs[idxs] / mass).tolist())
-        gains.append(prior_entropy - expected_posterior_entropy)
+        expected_posterior_entropy = sum(_outcome_term(m, n) for n in Counter(column).values() if n > 1)
+        gains.append(uniform_entropy(m) - expected_posterior_entropy)
     return gains
 
 

@@ -11,8 +11,8 @@ check that a dataclass's constructor or a tape's parse fails keeps its error
 type and is prefixed with the value's path (``agents[1]: plan_horizon must
 be >= 1``, ``obs: tape length must be ...``).
 Plans are built once per type. Text that is not JSON, or a file that cannot
-be read, is a ``ConfigError`` that names where it came from (a file, or a
-file's line).
+be read as UTF-8 text, is a ``ConfigError`` that names where it came from (a
+file, or a file's line).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Any, Callable
 from .ca import Tape
 from .errors import ConfigError, DomainError
 
-__all__ = ["from_json", "parse_json", "read_json", "to_json"]
+__all__ = ["from_json", "parse_json", "read_json", "read_text", "to_json"]
 
 _JSON_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
                list: "an array", tuple: "an array", dict: "an object", type(None): "null"}
@@ -56,13 +56,19 @@ def parse_json(text: str, where: str) -> Any:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def read_json(path) -> Any:
-    """The JSON file at ``path``, parsed; a file that is unreadable or not JSON is a ``ConfigError`` naming it."""
+def read_text(path) -> str:
+    """The text of the file at ``path``; a file that cannot be read as UTF-8 is a ``ConfigError`` naming it."""
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
-    return parse_json(text, str(path))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: byte {exc.start}") from None
+
+
+def read_json(path) -> Any:
+    """The JSON file at ``path``, parsed; a file that is unreadable or not JSON is a ``ConfigError`` naming it."""
+    return parse_json(read_text(path), str(path))
 
 
 def _named(path: str) -> str:

@@ -12,12 +12,13 @@ configs. With one worker the agents run one after another in this process,
 and the program starts no threads. With more, a process pool forks the
 workers (POSIX only, like the bridge's pipes; forking spares each worker the
 numpy import), and the pool's management thread and task-queue feeder are
-the only threads. Either way the results are concatenated in agent-name
-order, so the logs are byte-identical at any ``parallelism``, and an
-exception other than ``AgentError`` in any agent aborts the run: nothing is
-renamed into place and the temporary log is removed. Threads would not help:
-the work is CPU-bound Python and numpy, and they contend for the interpreter
-lock.
+the only threads; a worker is handed its next agent config only when it is
+free. Either way the results are concatenated in agent-name order, so the
+logs are byte-identical at any ``parallelism``, and an exception other than
+``AgentError`` in any agent aborts the run: no further agent config starts,
+nothing is renamed into place and the temporary log is removed. Threads
+would not help: the work is CPU-bound Python and numpy, and they contend for
+the interpreter lock.
 
 The output directory is made before the first episode, so a path that cannot
 be a directory fails the run before any work. Each episode becomes its final
@@ -61,7 +62,7 @@ from . import __version__
 from .agents import MAX_Q_LENGTH, AgentConfig, make_agent
 from .belief import Belief, entropy, info_gain_entropy, info_gain_kl, info_gain_mi
 from .ca import Tape
-from .codec import from_json, parse_json, read_json, to_json
+from .codec import from_json, parse_json, read_json, read_text, to_json
 from .env import Action, run_episode
 from .errors import AgentError, ConfigError
 from .seeding import derive_seed, make_rng
@@ -170,12 +171,26 @@ def _played(play, agents: list[AgentConfig], workers: int):
         yield from map(play, agents)
         return
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from collections import deque
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     # Fork, because a spawned worker imports numpy again (~0.2 s). The pool forks all
     # its workers before it starts its own threads, and the program has no others.
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        yield from pool.map(play, agents)
+        # A config is handed over only when a worker is free: the pool would queue the rest
+        # ahead of its workers, where neither an abort nor cancel() stops them.
+        started = deque()  # in name order, results not yet yielded
+        for agent in agents:
+            running = [future for future in started if not future.done()]
+            if len(running) == workers:
+                wait(running, return_when=FIRST_COMPLETED)
+            if any(future.done() and future.exception() for future in started):
+                break
+            while started and started[0].done():
+                yield started.popleft().result()
+            started.append(pool.submit(play, agent))
+        for future in started:
+            yield future.result()
 
 
 def run_experiment(config: ExperimentConfig, split: Split | None = None) -> RunManifest:
@@ -240,7 +255,7 @@ def load_run(run_dir) -> tuple[RunManifest, list[dict[str, Any]]]:
         raise ConfigError("missing config key manifest.split.spec.protocol")
     log = run_dir / EPISODE_LOG
     records = []
-    for n, line in enumerate(log.read_text().splitlines(), 1):
+    for n, line in enumerate(read_text(log).splitlines(), 1):
         if not line:
             continue
         record = parse_json(line, f"{log} line {n}")

@@ -6,15 +6,20 @@ from rulebench import (
     AgentConfig,
     Belief,
     ConfigError,
+    InconsistentObservationError,
     SplitSpec,
     TaskSpec,
     Tape,
+    Transition,
     entropy,
     env_step,
+    intervene,
     make_split,
     make_target,
     paired_t,
+    posterior_update,
     run_episode,
+    step,
 )
 from rulebench.agents import (
     BeliefMpcAgent,
@@ -185,7 +190,33 @@ class TestBeliefMpc:
         nxt, _, _ = env_step(obs, Action.no_op(), task)
         assert nxt != obs and nxt.bits != (~obs.bits) & 0xFF  # neither hypothesis explains it
         agent.observe(obs, Action.no_op(), 0.0, nxt, False)
-        assert agent.belief.probs.tolist() == [0.5, 0.5]
+        assert agent.live == rules
+
+    def test_live_rules_are_the_support_of_the_posterior(self):
+        # The version space against posterior_update, which raises where every live rule is ruled out
+        # and the agent makes all its rules live again; transitions of rules outside the set force that.
+        rng = np.random.default_rng(11)
+        rules = tuple(int(r) for r in rng.choice(256, size=24, replace=False))
+        agent = BeliefMpcAgent(AgentConfig(kind="belief_mpc"), rules)
+        resets = 0
+        for episode in range(10):
+            length = int(rng.integers(3, 9))
+            state = Tape(int(rng.integers(0, 1 << length)), length)
+            agent.begin_episode(task_with(rules[0], "0" * length), state, seed=episode)
+            belief = Belief.uniform(rules)
+            for _ in range(30):
+                action = Action.from_order_index(int(rng.integers(0, length + 1)), length)
+                true_rule = rules[int(rng.integers(0, len(rules)))] if rng.random() < 0.9 else int(rng.integers(0, 256))
+                nxt = step(intervene(state, action), true_rule)
+                try:
+                    belief = posterior_update(belief, Transition(state, action, nxt))
+                except InconsistentObservationError:
+                    belief = Belief.uniform(rules)
+                    resets += 1
+                agent.observe(state, action, 0.0, nxt, False)
+                assert agent.live == tuple(z for z, p in zip(belief.support, belief.probs) if p > 0.0)
+                state = nxt
+        assert resets > 0
 
 
 class TestFallback:
@@ -208,14 +239,14 @@ class TestFallback:
         agent.begin_episode(task, tape("00110"), seed=2)
         action = agent.act(tape("00110"))
         assert agent.last_mode == "explore"
-        assert action == max_ig_action(agent.belief, tape("00110"))
+        assert action == max_ig_action(agent.live, tape("00110"))
 
     def test_explore_matches_brute_force_argmax(self):
-        belief = Belief.uniform(self.RULES)
+        probs = Belief.uniform(self.RULES).probs
         state = tape("01011")
-        gains = [brute_info_gain(self.RULES, belief.probs, list(state.cells), a) for a in range(6)]
+        gains = [brute_info_gain(self.RULES, probs, list(state.cells), a) for a in range(6)]
         best = max(range(6), key=lambda a: (gains[a], -a))
-        assert max_ig_action(belief, state).order_index(5) == best
+        assert max_ig_action(self.RULES, state).order_index(5) == best
 
     def test_mode_switches_once_belief_sharpens(self):
         # scripted episode: entropy starts at 3 bits, exploration collapses it below 1
@@ -225,7 +256,7 @@ class TestFallback:
         agent.begin_episode(task, state, seed=6)
         modes = []
         for step_i in range(task.horizon):
-            entropy_before = entropy(agent.belief)
+            entropy_before = entropy(Belief.uniform(agent.live))
             action = agent.act(state)
             modes.append(agent.last_mode)
             assert agent.last_mode == ("explore" if entropy_before > 1.0 else "plan")

@@ -14,7 +14,7 @@ from rulebench import (
     info_gain_mi,
     posterior_update,
 )
-from rulebench.belief import info_gain_sweep
+from rulebench.belief import info_gain_sweep, uniform_entropy
 
 from oracles import (
     brute_consistent_rules,
@@ -148,32 +148,32 @@ class TestInfoGain:
 
 
 class TestInfoGainSweep:
-    def random_belief(self, rng, k):
-        support = tuple(int(r) for r in rng.choice(256, size=k, replace=False))
-        weights = rng.random(k)
-        if k > 1:
-            weights[rng.random(k) < 0.3] = 0.0  # zero-mass entries
-            weights[int(rng.integers(0, k))] = 0.5
-        return Belief.from_weights(support, weights)
+    """The version-space sweep is ``==`` the float reference on the uniform belief over the live rules."""
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 8, 16, 64, 128])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 16, 64, 128, 256])
     def test_equals_info_gain_entropy_exactly(self, k):
         rng = np.random.default_rng(100 + k)
         for _ in range(20 if k <= 16 else 5):
-            belief = self.random_belief(rng, k)
+            live = tuple(int(r) for r in rng.choice(256, size=k, replace=False))
             length = int(rng.integers(3, 13))
             state = Tape(int(rng.integers(0, 1 << length)), length)
-            gains = info_gain_sweep(belief, state)
+            gains = info_gain_sweep(live, state)
             assert len(gains) == length + 1
+            belief = Belief.uniform(live)
             for i, gain in enumerate(gains):
                 assert gain == info_gain_entropy(belief, state, Action.from_order_index(i, length)), (k, i)
 
     def test_long_tape_equals_info_gain_entropy_exactly(self):
         rng = np.random.default_rng(70)
-        belief = self.random_belief(rng, 16)
-        state = Tape(int.from_bytes(rng.bytes(9), "little") & ((1 << 64) - 1), 64)
-        gains = info_gain_sweep(belief, state)
+        live = tuple(int(r) for r in rng.choice(256, size=16, replace=False))
+        state = Tape(int.from_bytes(rng.bytes(8), "little"), 64)
+        belief = Belief.uniform(live)
+        gains = info_gain_sweep(live, state)
         assert gains == [info_gain_entropy(belief, state, Action.from_order_index(i, 64)) for i in range(65)]
+
+    def test_uniform_entropy_equals_entropy_exactly(self):
+        counts = range(1, 257)
+        assert [uniform_entropy(m) for m in counts] == [entropy(Belief.uniform(range(m))) for m in counts]
 
 
 class TestLongTapes:

@@ -293,6 +293,32 @@ class TestRunExperiment:
         for name, content in before.items():
             assert (tmp_path / "run" / name).read_bytes() == content
 
+    def test_pool_abort_starts_no_further_agent_config(self, tmp_path, monkeypatch, pools):
+        # r0 fails once r1 has started, and r1 is still playing when the failure arrives: with
+        # both workers busy until then, no later config may have been handed to the pool.
+        marks = tmp_path / "started"
+        marks.mkdir()
+        real_run_episode = harness.run_episode
+
+        def marking(task, agent, seed):
+            first = not (marks / agent.name).exists()
+            (marks / agent.name).touch()
+            if agent.name == "r0":
+                deadline = time.monotonic() + 10
+                while not (marks / "r1").exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                raise KeyError("synthetic fault in the first agent")
+            if agent.name == "r1" and first:
+                time.sleep(0.5)
+            return real_run_episode(task, agent, seed)
+
+        monkeypatch.setattr(harness, "run_episode", marking)
+        agents = tuple(AgentConfig(kind="random", name=f"r{i}") for i in range(5))
+        with pytest.raises(KeyError, match="synthetic fault"):
+            run_experiment(small_config(tmp_path / "run", parallelism=2, agents=agents))
+        assert pools == [2]
+        assert sorted(path.name for path in marks.iterdir()) == ["r0", "r1"]
+
     def test_unopenable_log_plays_no_episode(self, tmp_path, monkeypatch):
         cfg = small_config(tmp_path / "run")
         run_experiment(cfg)
@@ -650,17 +676,26 @@ class TestCli:
         ("episodes.jsonl", lambda d: d.update(success="yes"),
          r"config key success in .*episodes\.jsonl line 1 must be a number, got a string"),
         ("episodes.jsonl", None, r"episodes\.jsonl line 1: Expecting ',' delimiter"),  # the line cut short
+        ("episodes.jsonl", "directory", r"episodes\.jsonl: cannot read: Is a directory"),
+        ("episodes.jsonl", "binary", r"episodes\.jsonl: not UTF-8 text: byte 0"),
+        ("manifest.json", "binary", r"manifest\.json: not UTF-8 text: byte 0"),
     ])
     def test_report_on_malformed_run_is_validation_failure(self, tmp_path, capsys, name, edit, message):
         assert cli_main(["run", str(self.write_config(tmp_path))]) == 0
         path = tmp_path / "out" / name
         lines = path.read_text().splitlines()
         text = lines[0][:-1]
-        if edit is not None:
-            data = json.loads(lines[0] if name == "episodes.jsonl" else "\n".join(lines))
-            edit(data)
-            text = json.dumps(data)
-        path.write_text(text + "\n" + "\n".join(lines[1:] if name == "episodes.jsonl" else []))
+        if edit == "directory":
+            path.unlink()
+            path.mkdir()
+        elif edit == "binary":
+            path.write_bytes(b"\xff" + path.read_bytes())
+        else:
+            if edit is not None:
+                data = json.loads(lines[0] if name == "episodes.jsonl" else "\n".join(lines))
+                edit(data)
+                text = json.dumps(data)
+            path.write_text(text + "\n" + "\n".join(lines[1:] if name == "episodes.jsonl" else []))
         capsys.readouterr()
         assert cli_main(["report", str(tmp_path / "out"), "--mode", "ood"]) == 1
         assert re.search(message, capsys.readouterr().err)
