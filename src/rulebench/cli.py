@@ -10,6 +10,10 @@ Subcommands::
 
 Exit codes: 0 success, 1 validation failure (a bad config, manifest or
 command line), 2 runtime failure.
+
+Each command imports the modules it runs when it runs, so ``report`` loads
+neither numpy nor the run machinery. ``run_experiment`` stays a name of this
+module, which ``perfbench/tracer.py`` replaces to time a run as a whole.
 """
 
 from __future__ import annotations
@@ -19,11 +23,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .agents import AgentConfig, make_agent
-from .codec import from_json, read_json
 from .errors import ConfigError, DomainError, SplitViolation
-from .harness import EPISODE_LOG, MANIFEST_FILE, load_config, render_report, run_experiment, verify_theory
-from .splits import load_split_manifest, verify_split
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -61,7 +61,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Kept as a name of this module because perfbench/tracer.py replaces it for its root span;
+# it imports the harness when called, so the other commands do not load the run machinery.
+def run_experiment(config, split=None):
+    from .harness import run_experiment
+    return run_experiment(config, split=split)
+
+
 def _cmd_run(args) -> int:
+    from .harness import load_config
+    from .report import EPISODE_LOG, MANIFEST_FILE
+    from .splits import load_split_manifest
+
     config = load_config(args.config)
     if args.output_dir is not None:
         config = dataclasses.replace(config, output_dir=str(args.output_dir))
@@ -78,6 +89,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .report import render_report
+
     text, warnings = render_report(args.log_dir, args.mode, args.fmt)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -86,12 +99,16 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_verify_theory(args) -> int:
+    from .harness import verify_theory
+
     report = verify_theory(args.trials, args.seed)
     print(report.to_text())
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
 def _cmd_verify_split(args) -> int:
+    from .splits import load_split_manifest, verify_split
+
     try:
         split = load_split_manifest(args.manifest)
     except SplitViolation as exc:  # a manifest that its own spec does not generate; other bad input is an error
@@ -108,7 +125,9 @@ def _cmd_verify_split(args) -> int:
 
 
 def _cmd_bridge_serve(args) -> int:
+    from .agents import AgentConfig, make_agent
     from .bridge import serve
+    from .codec import from_json, read_json
 
     fields = {}
     if args.agent_config is not None:

@@ -1,8 +1,10 @@
 """One JSON codec, driven by dataclass type hints, for configs, manifests, logs and bridge messages.
 
 A dataclass is an object keyed by field name or ``metadata["key"]``; tuples
-and lists are arrays; a :class:`~rulebench.ca.Tape` is its ``'0'/'1'`` string;
-a ``dict`` passes through; a field typed ``X | None`` is omitted while ``None``.
+and lists are arrays; a string-form type (a class with a ``from_string``
+constructor: :class:`~rulebench.ca.Tape`, whose string is its ``'0'/'1'``
+cells) is its ``str`` and decodes through ``from_string``; a ``dict`` passes
+through; a field typed ``X | None`` is omitted while ``None``.
 Decoding refuses an unknown, missing or wrong-typed key with a
 :class:`~rulebench.errors.ConfigError` naming its path (``agents[1].plan_horizon``);
 an ``int`` refuses a boolean, and a ``float`` accepts an integer but not
@@ -26,7 +28,6 @@ import typing
 from pathlib import Path
 from typing import Any, Callable
 
-from .ca import Tape
 from .errors import ConfigError, DomainError
 
 __all__ = ["from_json", "parse_json", "read_json", "read_text", "to_json"]
@@ -93,6 +94,11 @@ def _optional(tp: Any) -> Any:
     return inner
 
 
+def _string_form(tp: Any) -> bool:
+    """Whether ``tp`` is a string-form type, one with a ``from_string`` constructor."""
+    return hasattr(tp, "from_string")
+
+
 def _fields(tp: type) -> list[tuple[dataclasses.Field, str, Any]]:
     hints = typing.get_type_hints(tp)
     return [(f, f.metadata.get("key", f.name), hints[f.name]) for f in dataclasses.fields(tp)]
@@ -101,7 +107,7 @@ def _fields(tp: type) -> list[tuple[dataclasses.Field, str, Any]]:
 @functools.cache
 def _encoder(tp: Any) -> Callable[[Any], Any] | None:
     """The function giving a ``tp``'s JSON form, or ``None`` where a value is its own JSON form."""
-    if tp is Tape:
+    if _string_form(tp):
         return str
     if dataclasses.is_dataclass(tp):
         plan = [(f.name, key, _encoder(hint)) for f, key, hint in _fields(tp)]
@@ -118,18 +124,19 @@ def _encoder(tp: Any) -> Callable[[Any], Any] | None:
 def _decoder(tp: Any) -> Callable[[Any, str], Any]:
     """The function ``(data, path) -> tp`` that checks every key and type it reads."""
     origin = typing.get_origin(tp) or tp
-    if tp is Tape or origin in _ACCEPTS:
-        accepts = (str,) if tp is Tape else _ACCEPTS[origin]
+    string_form = _string_form(tp)
+    if string_form or origin in _ACCEPTS:
+        accepts = (str,) if string_form else _ACCEPTS[origin]
 
         def decode_scalar(value, path):
             if type(value) not in accepts:
                 raise _wrong_type(path, accepts[0], value)
             if type(value) is float and not math.isfinite(value):
                 raise ConfigError(f"{_named(path)} must be a finite number, got {json.dumps(value)}")
-            if tp is not Tape:
+            if not string_form:
                 return value
             try:
-                return Tape.from_string(value)
+                return tp.from_string(value)
             except DomainError as exc:
                 raise _at(path, exc) from None
         return decode_scalar

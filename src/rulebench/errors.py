@@ -4,6 +4,8 @@
 the JSON codec (:mod:`rulebench.codec`) raises :class:`ConfigError` naming the bad key's path.
 """
 
+__all__ = ["AgentError", "ConfigError", "DomainError", "InconsistentObservationError", "SplitViolation"]
+
 
 class DomainError(ValueError):
     """A value violates a domain invariant (rule range, tape bounds, lengths)."""

@@ -1,4 +1,4 @@
-"""Experiment orchestration: seeded runs, logs, reports, theory checks.
+"""Experiment orchestration: seeded runs, their logs, and theory checks.
 
 A run executes every (agent, test task, episode) cell of its config. Cell
 seeds are ``derive_seed(base_seed, agent_name, task_index, episode_index)``,
@@ -42,6 +42,9 @@ beside the previous manifest:
 * ``manifest.json`` — config snapshot, split manifest, the full per-cell seed
   table with per-cell status, package version, and timestamps.
 
+Reading a run back (``load_run``) and the report tables live in
+:mod:`rulebench.report`, which this module writes with.
+
 Belief-family agents hypothesize over the split's *train* rules: that is the
 world model they bring to evaluation, and it is exactly what heldout-rule
 protocols take away from them.
@@ -62,29 +65,16 @@ from . import __version__
 from .agents import MAX_Q_LENGTH, AgentConfig, make_agent
 from .belief import Belief, entropy, info_gain_entropy, info_gain_kl, info_gain_mi
 from .ca import Tape
-from .codec import from_json, parse_json, read_json, read_text, to_json
+from .codec import from_json, read_json, to_json
 from .env import Action, run_episode
 from .errors import AgentError, ConfigError
+from .report import EPISODE_LOG, MANIFEST_FILE, RunManifest
+from .report import load_run, summary_report  # noqa: F401  (perfbench/probe.py calls them as harness.*)
 from .seeding import derive_seed, make_rng
 from .splits import Split, SplitSpec, make_split, verify_split
-from .stats import Interval, SummaryStats, ci_normal, drop_ci, format_gap_table, format_summary_table, summarize
 
-__all__ = [
-    "ExperimentConfig",
-    "RunManifest",
-    "TheoryReport",
-    "cell_seed",
-    "gap_report",
-    "load_config",
-    "load_run",
-    "render_report",
-    "run_experiment",
-    "summary_report",
-    "verify_theory",
-]
+__all__ = ["ExperimentConfig", "TheoryReport", "cell_seed", "load_config", "run_experiment", "verify_theory"]
 
-EPISODE_LOG = "episodes.jsonl"
-MANIFEST_FILE = "manifest.json"
 THEORY_TOLERANCE = 1e-9
 
 
@@ -118,19 +108,6 @@ class ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Read a config file; unknown, missing or wrong-typed keys are errors that name their path."""
     return from_json(ExperimentConfig, read_json(path))
-
-
-@dataclass
-class RunManifest:
-    """What a run records beside its log; ``config`` and ``split`` are JSON snapshots."""
-
-    name: str
-    config: dict[str, Any]
-    split: dict[str, Any]
-    seed_table: list[dict[str, Any]]
-    artifact_version: str
-    started_at: str
-    finished_at: str
 
 
 def cell_seed(base_seed: int, agent_name: str, task_index: int, episode_index: int) -> int:
@@ -239,105 +216,6 @@ def run_experiment(config: ExperimentConfig, split: Split | None = None) -> RunM
         manifest_tmp.unlink(missing_ok=True)
         raise
     return manifest
-
-
-_REPORT_RECORD_KEYS = ("agent", "success", "task_index")  # what reports read of each log record
-
-
-def load_run(run_dir) -> tuple[RunManifest, list[dict[str, Any]]]:
-    """A run's manifest and log records, refused with a :class:`ConfigError` naming the file (and
-    line) that is not JSON, or the first manifest field or record key that reports need and do not
-    find, or a ``success`` that is not a number."""
-    run_dir = Path(run_dir)
-    manifest = from_json(RunManifest, read_json(run_dir / MANIFEST_FILE), "manifest")
-    spec = manifest.split.get("spec")
-    if not isinstance(spec, dict) or "protocol" not in spec:
-        raise ConfigError("missing config key manifest.split.spec.protocol")
-    log = run_dir / EPISODE_LOG
-    records = []
-    for n, line in enumerate(read_text(log).splitlines(), 1):
-        if not line:
-            continue
-        record = parse_json(line, f"{log} line {n}")
-        for key in _REPORT_RECORD_KEYS:
-            if not isinstance(record, dict) or key not in record:
-                raise ConfigError(f"missing key {key} in {log} line {n}")
-        from_json(float, record["success"], f"success in {log} line {n}")
-        records.append(record)
-    return manifest, records
-
-
-# --- reports ----------------------------------------------------------------
-
-def summary_report(records) -> list[tuple[str, SummaryStats, Interval]]:
-    """Per-agent success summary with clipped 95% intervals, best agent first."""
-    return [(agent, stats, ci_normal(stats, clip=True)) for agent, stats in summarize(records)]
-
-
-def gap_report(id_records, ood_records) -> tuple[list[tuple[str, float, float, float, Interval]], list[str]]:
-    """Per-agent drop (id mean - ood mean) with difference intervals.
-
-    Agents present on only one side are omitted, each with a warning.
-    """
-    id_stats = dict(summarize(id_records))
-    ood_stats = dict(summarize(ood_records))
-    warnings = []
-    rows = []
-    for agent in sorted(set(id_stats) | set(ood_stats)):
-        if agent not in id_stats or agent not in ood_stats:
-            side = "id" if agent not in id_stats else "ood"
-            warnings.append(f"agent {agent!r} missing from the {side} logs; omitted from the gap table")
-            continue
-        drop, interval = drop_ci(id_stats[agent], ood_stats[agent])
-        rows.append((agent, id_stats[agent].mean, ood_stats[agent].mean, drop, interval))
-    return sorted(rows, key=lambda row: (-row[3], row[0])), warnings
-
-
-def _discover_runs(log_dir) -> list[tuple[RunManifest, list[dict[str, Any]]]]:
-    log_dir = Path(log_dir)
-    if not log_dir.is_dir():
-        raise ConfigError(f"{log_dir} is not a directory")
-    if (log_dir / EPISODE_LOG).exists():
-        return [load_run(log_dir)]
-    runs = []
-    for child in sorted(log_dir.iterdir()):
-        if child.is_dir() and (child / EPISODE_LOG).exists():
-            runs.append(load_run(child))
-    return runs
-
-
-def render_report(log_dir, mode: str, fmt: str = "text") -> tuple[str, list[str]]:
-    """Assemble a report from a run directory (or a directory of runs).
-
-    ``id``/``ood`` summarize success per agent; ``gap`` pairs one in-distribution
-    run with one holdout run found under ``log_dir`` and reports drops.
-    """
-    if mode not in ("id", "ood", "gap"):
-        raise ConfigError(f"mode must be one of id/ood/gap, got {mode!r}")
-    table = format_gap_table if mode == "gap" else format_summary_table
-    runs = [(manifest.name, manifest.split["spec"]["protocol"], rows) for manifest, rows in _discover_runs(log_dir)]
-    if not runs:
-        return table([], fmt), [f"no runs found under {log_dir}"]
-
-    warnings: list[str] = []
-    if mode != "gap":
-        records = []
-        for name, protocol, rows in runs:
-            if (protocol == "id") != (mode == "id"):
-                warnings.append(f"run {name!r} has protocol {protocol!r} in an {mode} report")
-            records.extend(rows)
-        if not records:
-            warnings.append("no episode records found")
-        return table(summary_report(records), fmt), warnings
-
-    id_records = [r for _, protocol, rows in runs if protocol == "id" for r in rows]
-    ood_records = [r for _, protocol, rows in runs if protocol != "id" for r in rows]
-    if not id_records:
-        warnings.append("no in-distribution run found for the gap report")
-    if not ood_records:
-        warnings.append("no holdout run found for the gap report")
-    rows, gap_warnings = gap_report(id_records, ood_records)
-    return table(rows, fmt), warnings + gap_warnings
 
 
 # --- identity verification ---------------------------------------------------

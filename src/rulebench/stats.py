@@ -5,11 +5,15 @@ Conventions, fixed so that reported tables are reproducible to the digit:
 * 95% normal intervals use z = 1.96 exactly (other levels use the inverse
   normal CDF of :class:`statistics.NormalDist`); success-rate intervals may be
   clipped to [0, 1] but difference intervals never are.
-* Sample standard deviations use the n-1 denominator; a group of size 1
-  reports std 0.
+* Means and sample variances are two ``math.fsum`` passes: the mean is the
+  correctly rounded sum over n, the variance the correctly rounded sum of
+  squared deviations from that mean over n-1, so neither depends on the
+  order of the values. A group of size 1 reports std 0.
 * The Student-t CDF is computed in-house via the regularized incomplete beta
-  function (continued-fraction evaluation, |error| well under 1e-10), so no
-  numerical library is required at runtime.
+  function (continued-fraction evaluation, |error| well under 1e-10), so
+  summaries, intervals, t-tests and tables need only the standard library.
+  Only :func:`bootstrap_ci` imports numpy, in its body, so a report does not
+  load it.
 * Degenerate tests follow explicit conventions: identical constant samples
   give p = 1; disjoint constant samples give an unbounded statistic reported
   as p = 0 (below any printable threshold).
@@ -24,10 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-import numpy as np
-
 from .errors import DomainError
-from .seeding import make_rng
 
 __all__ = [
     "Interval",
@@ -189,6 +190,10 @@ def drop_ci(id_stats: SummaryStats, ood_stats: SummaryStats, level: float = 0.95
 
 def bootstrap_ci(samples: Sequence[float], resamples: int = 10000, level: float = 0.95, seed: int = 0) -> Interval:
     """Percentile bootstrap interval for the mean; deterministic given ``seed``."""
+    import numpy as np
+
+    from .seeding import make_rng
+
     x = np.asarray(list(samples), dtype=float)
     if x.size < 1:
         raise DomainError("bootstrap requires at least one sample")
@@ -204,27 +209,29 @@ def bootstrap_ci(samples: Sequence[float], resamples: int = 10000, level: float 
 
 # --- hypothesis tests ------------------------------------------------------
 
-def _sample_moments(xs: np.ndarray) -> tuple[float, float]:
-    return float(xs.mean()), float(xs.var(ddof=1))
+def _sample_moments(xs: Sequence[float]) -> tuple[float, float]:
+    """Mean and n-1 sample variance of ``xs`` (at least 2 values), each one ``math.fsum`` pass."""
+    mean = math.fsum(xs) / len(xs)
+    return mean, math.fsum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
 
 
 def welch_t(sample_a: Sequence[float], sample_b: Sequence[float]) -> TestResult:
     """Two-sample t-test without the equal-variance assumption."""
-    a = np.asarray(list(sample_a), dtype=float)
-    b = np.asarray(list(sample_b), dtype=float)
-    if a.size < 2 or b.size < 2:
+    a = [float(x) for x in sample_a]
+    b = [float(x) for x in sample_b]
+    if len(a) < 2 or len(b) < 2:
         raise DomainError("welch_t requires at least 2 observations per sample")
     mean_a, var_a = _sample_moments(a)
     mean_b, var_b = _sample_moments(b)
     if var_a == 0.0 and var_b == 0.0:
-        dof = float(a.size + b.size - 2)
+        dof = float(len(a) + len(b) - 2)
         if mean_a == mean_b:
             return TestResult(0.0, dof, 1.0, "welch")
         statistic = math.inf if mean_a > mean_b else -math.inf
         return TestResult(statistic, dof, 0.0, "welch")
-    sea, seb = var_a / a.size, var_b / b.size
+    sea, seb = var_a / len(a), var_b / len(b)
     statistic = (mean_a - mean_b) / math.sqrt(sea + seb)
-    dof = (sea + seb) ** 2 / (sea**2 / (a.size - 1) + seb**2 / (b.size - 1))
+    dof = (sea + seb) ** 2 / (sea**2 / (len(a) - 1) + seb**2 / (len(b) - 1))
     return TestResult(statistic, dof, _t_two_sided_p(statistic, dof), "welch")
 
 
@@ -233,15 +240,15 @@ def paired_t(diff_pairs: Sequence[tuple[float, float]]) -> TestResult:
     pairs = list(diff_pairs)
     if len(pairs) < 2:
         raise DomainError("paired_t requires at least 2 pairs")
-    diffs = np.asarray([a - b for a, b in pairs], dtype=float)
-    dof = float(diffs.size - 1)
+    diffs = [float(a - b) for a, b in pairs]
+    dof = float(len(diffs) - 1)
     mean_d, var_d = _sample_moments(diffs)
     if var_d == 0.0:
         if mean_d == 0.0:
             return TestResult(0.0, dof, 1.0, "paired")
         statistic = math.inf if mean_d > 0 else -math.inf
         return TestResult(statistic, dof, 0.0, "paired")
-    statistic = mean_d / math.sqrt(var_d / diffs.size)
+    statistic = mean_d / math.sqrt(var_d / len(diffs))
     return TestResult(statistic, dof, _t_two_sided_p(statistic, dof), "paired")
 
 
@@ -251,7 +258,7 @@ def summarize(records: Iterable[dict[str, Any]], group_by: tuple[str, ...] = ("a
     """Group the ``success`` values of episode-log records and reduce each group to (mean, sample std, n).
 
     Each record needs ``agent``, ``success`` and ``task_index`` (what
-    ``harness.load_run`` guarantees). ``group_by`` is ``("agent",)`` or
+    ``report.load_run`` guarantees). ``group_by`` is ``("agent",)`` or
     ``("agent", "task")``; a task is its ``task_index``. Groups are ordered
     by descending mean (ties by group key) to match the report layout.
     """
@@ -263,9 +270,8 @@ def summarize(records: Iterable[dict[str, Any]], group_by: tuple[str, ...] = ("a
         groups.setdefault(key, []).append(float(record["success"]))
     rows = []
     for key, values in groups.items():
-        xs = np.asarray(values, dtype=float)
-        std = float(xs.std(ddof=1)) if xs.size > 1 else 0.0
-        rows.append((key, SummaryStats(float(xs.mean()), std, int(xs.size))))
+        mean, var = _sample_moments(values) if len(values) > 1 else (values[0], 0.0)
+        rows.append((key, SummaryStats(mean, math.sqrt(var), len(values))))
     rows.sort(key=lambda row: (-row[1].mean, str(row[0])))
     return rows
 
@@ -274,10 +280,11 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"  # round-half-even on the stored double
 
 
-def format_summary_table(rows: Sequence[tuple[str, SummaryStats, Interval]], fmt: str = "text") -> str:
-    """Render (agent, stats, interval) rows as aligned text or CSV."""
-    cells = [(name, _fmt(stats.mean), _fmt(stats.std), str(stats.n), ci) for name, stats, ci in rows]
-    return _table(("agent", "mean", "std", "n"), "95% CI", cells, fmt)
+def format_summary_table(rows: Sequence[tuple[str, SummaryStats, int, Interval]], fmt: str = "text") -> str:
+    """Render (agent, stats, failed cells, interval) rows as aligned text or CSV."""
+    cells = [(name, _fmt(stats.mean), _fmt(stats.std), str(stats.n), str(failed), ci)
+             for name, stats, failed, ci in rows]
+    return _table(("agent", "mean", "std", "n", "failed"), "95% CI", cells, fmt)
 
 
 def format_gap_table(rows: Sequence[tuple[str, float, float, float, Interval]], fmt: str = "text") -> str:

@@ -12,9 +12,10 @@ from rulebench import AgentConfig, AgentError, ExperimentConfig, SplitSpec, Task
 from rulebench.agents import Agent, make_agent
 from rulebench import bridge
 from rulebench.bridge import PROTOCOL_VERSION, BridgeAgent, _act_table, _decode, _line, _parse, serve
+from rulebench.cli import main as cli_main
 from rulebench.codec import to_json
 from rulebench.env import Action, Tape, make_target, run_episode
-from rulebench.harness import load_run
+from rulebench.report import load_run
 from rulebench.seeding import derive_seed
 
 SERVE_RANDOM = (sys.executable, "-m", "rulebench.cli", "bridge-serve", "random")
@@ -68,6 +69,20 @@ LINGERING_SCRIPT = (
     "    hello = json.loads(line)['type'] == 'hello'\n"
     "    print(json.dumps({'v': 1, 'type': 'hello'} if hello else\n"
     "                     {'v': 1, 'type': 'act', 'action': {'kind': 'no_op'}}), flush=True)\n"
+)
+
+
+# Refuses every reset whose target has more ones than zeros, and otherwise answers with no-ops.
+PICKY_SCRIPT = (
+    "import sys, json\n"
+    "for line in sys.stdin:\n"
+    "    message = json.loads(line)\n"
+    "    reply = {'v': 1, 'type': 'act', 'action': {'kind': 'no_op'}}\n"
+    "    if message['type'] == 'hello':\n"
+    "        reply = {'v': 1, 'type': 'hello'}\n"
+    "    elif message['type'] == 'reset' and 2 * message['task']['target'].count('1') > len(message['task']['target']):\n"
+    "        reply = {'v': 1, 'type': 'error', 'message': 'too many ones'}\n"
+    "    print(json.dumps(reply), flush=True)\n"
 )
 
 
@@ -286,6 +301,36 @@ class TestBridgeFailures:
         assert all(s.startswith("failed:") for s in by_agent["slowpoke"])
         _, records = load_run(tmp_path / "run")
         assert {r["agent"] for r in records} == {"random"}
+
+
+    def test_report_counts_failed_cells_as_success_zero(self, tmp_path, capsys):
+        cfg = ExperimentConfig(
+            name="picky",
+            split=SplitSpec(protocol="holdout_rule", candidate_rules=(30, 90, 110, 204), split_seed=1,
+                            n_train_tasks=2, n_test_tasks=4, train_lengths=(6,), test_lengths=(6,), horizon=6),
+            agents=(AgentConfig(kind="random"),
+                    AgentConfig(kind="bridge", name="picky", bridge_command=script_command(PICKY_SCRIPT))),
+            episodes_per_task=2,
+            base_seed=8,
+            output_dir=str(tmp_path / "run"),
+        )
+        manifest = run_experiment(cfg)
+        targets = [task["target"] for task in manifest.split["test_tasks"]]
+        hard = sum(2 * target.count("1") > len(target) for target in targets) * cfg.episodes_per_task
+        attempted = len(targets) * cfg.episodes_per_task
+        assert 0 < hard < attempted
+        _, records = load_run(tmp_path / "run")
+        picky_successes = [r["success"] for r in records if r["agent"] == "picky"]
+        assert len(picky_successes) == attempted - hard
+
+        assert cli_main(["report", str(tmp_path / "run"), "--mode", "ood", "--fmt", "csv"]) == 0
+        out, err = capsys.readouterr()
+        rows = {line.split(",")[0]: line.split(",") for line in out.splitlines()}
+        assert rows["agent"][3:5] == ["n", "failed"]
+        assert rows["picky"][3:5] == [str(attempted), str(hard)]
+        assert rows["picky"][1] == f"{sum(picky_successes) / attempted:.3f}"
+        assert rows["random"][3:5] == [str(attempted), "0"]
+        assert err.splitlines() == [f"warning: agent 'picky': {hard} failed cell(s) counted as success 0"]
 
 
 class _ScriptedAgent(Agent):

@@ -21,7 +21,8 @@ from rulebench import harness
 from rulebench.agents import Agent, make_agent
 from rulebench.cli import main as cli_main
 from rulebench.codec import from_json, to_json
-from rulebench.harness import cell_seed, load_config, load_run, render_report
+from rulebench.harness import cell_seed, load_config
+from rulebench.report import load_run, render_report
 from rulebench.splits import save_split_manifest
 
 
@@ -370,14 +371,17 @@ class TestRunExperiment:
         assert time.monotonic() - started < 5.0
 
 
-def write_synthetic_run(run_dir: Path, protocol: str, agent_successes: dict[str, list[float]]) -> None:
-    """A minimal on-disk run: enough manifest to classify, one record per success."""
+def write_synthetic_run(run_dir: Path, protocol: str, agent_successes: dict[str, list[float]],
+                        failed: dict[str, int] | None = None) -> None:
+    """A minimal on-disk run: enough manifest to classify, one record per success, and ``failed``
+    cells per agent in the seed table only."""
     run_dir.mkdir(parents=True)
     manifest = {
         "name": run_dir.name,
         "config": {},
         "split": {"spec": {"protocol": protocol}},
-        "seed_table": [],
+        "seed_table": [{"agent": agent, "task_index": 0, "episode_index": i, "seed": 0, "status": "failed: boom"}
+                       for agent, n in (failed or {}).items() for i in range(n)],
         "artifact_version": "0",
         "started_at": "",
         "finished_at": "",
@@ -398,7 +402,7 @@ class TestReports:
         write_synthetic_run(tmp_path / "run", "id", {"steady-planner": successes})
         text, warnings = render_report(tmp_path / "run", "id")
         assert warnings == []
-        assert "steady-planner  0.798  0.333  195  [0.751, 0.845]" in text
+        assert "steady-planner  0.798  0.333  195       0  [0.751, 0.845]" in text
 
     def test_gap_report_pairs_runs_and_warns_on_missing_agents(self, tmp_path):
         write_synthetic_run(tmp_path / "id_run", "id", {"shared": [1.0, 1.0, 0.0, 1.0], "only-id": [1.0, 0.0]})
@@ -411,9 +415,31 @@ class TestReports:
         assert warnings == ["agent 'only-id' missing from the ood logs; omitted from the gap table",
                             "agent 'only-ood' missing from the id logs; omitted from the gap table"]
 
+    def test_failed_cells_count_as_success_zero(self, tmp_path):
+        write_synthetic_run(tmp_path / "run", "id", {"steady": [1.0, 1.0], "flaky": [1.0, 1.0]}, failed={"flaky": 2})
+        text, warnings = render_report(tmp_path / "run", "id", fmt="csv")
+        assert text.splitlines()[1:] == ["steady,1.000,0.000,2,0,1.000,1.000", "flaky,0.500,0.577,4,2,0.000,1.000"]
+        assert warnings == ["agent 'flaky': 2 failed cell(s) counted as success 0"]
+
+    def test_gap_report_counts_failed_cells_on_both_sides(self, tmp_path):
+        write_synthetic_run(tmp_path / "id_run", "id", {"a": [1.0, 1.0]}, failed={"a": 2})
+        write_synthetic_run(tmp_path / "ood_run", "holdout_rule", {"a": [1.0]}, failed={"a": 3})
+        text, warnings = render_report(tmp_path, "gap", fmt="csv")
+        assert text.splitlines()[1].startswith("a,0.500,0.250,0.250,")
+        assert warnings == ["agent 'a': 2 failed cell(s) in the id runs counted as success 0",
+                            "agent 'a': 3 failed cell(s) in the ood runs counted as success 0"]
+
+    def test_seed_table_entry_without_a_status_is_refused(self, tmp_path):
+        write_synthetic_run(tmp_path / "run", "id", {"a": [1.0]}, failed={"a": 1})
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        del manifest["seed_table"][0]["status"]
+        (tmp_path / "run" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match=r"^missing config key manifest\.seed_table\[0\]\.status$"):
+            render_report(tmp_path / "run", "id")
+
     def test_empty_directory_gives_empty_table_and_warnings(self, tmp_path):
         text, warnings = render_report(tmp_path, "id")
-        assert text.splitlines() == ["agent  mean  std  n  95% CI"]
+        assert text.splitlines() == ["agent  mean  std  n  failed  95% CI"]
         assert len(warnings) > 0
         with pytest.raises(ConfigError):
             render_report(tmp_path / "missing", "id")
@@ -426,7 +452,7 @@ class TestReports:
     def test_csv_format(self, tmp_path):
         write_synthetic_run(tmp_path / "run", "id", {"a": [1.0, 0.0, 1.0, 0.0]})
         text, _ = render_report(tmp_path / "run", "id", fmt="csv")
-        assert text.splitlines()[0] == "agent,mean,std,n,ci_lo,ci_hi"
+        assert text.splitlines()[0] == "agent,mean,std,n,failed,ci_lo,ci_hi"
         assert text.splitlines()[1].startswith("a,0.500,")
 
 

@@ -215,6 +215,29 @@ class TestSummarize:
         assert summarize([]) == []
 
 
+class TestSummarizeAgainstNumpy:
+    """numpy's mean and n-1 std are the oracle; ``summarize`` sums with ``math.fsum``, so the last bits may differ."""
+
+    @pytest.mark.parametrize("kind", ["binary", "uniform"])
+    def test_moments_and_rendered_rows_match_numpy(self, kind):
+        rng = np.random.default_rng(18)
+        records, expected = [], []
+        for g in range(200):
+            n = int(rng.integers(2, 1200))
+            values = rng.integers(0, 2, n).astype(float) if kind == "binary" else rng.random(n)
+            records += [{"agent": f"g{g}", "success": float(v), "task_index": 0} for v in values]
+            expected.append((f"g{g}", SummaryStats(float(values.mean()), float(values.std(ddof=1)), n)))
+        got = dict(summarize(records))
+        for agent, stats in expected:
+            assert got[agent].n == stats.n
+            assert got[agent].mean == pytest.approx(stats.mean, rel=1e-12)
+            assert got[agent].std == pytest.approx(stats.std, rel=1e-12)
+
+        def table(rows):
+            return format_summary_table([(agent, stats, 0, ci_normal(stats, clip=True)) for agent, stats in rows])
+        assert table((agent, got[agent]) for agent, _ in expected) == table(expected)
+
+
 class TestNumericsOracle:
     def test_incomplete_beta_matches_scipy(self):
         rng = np.random.default_rng(6)
@@ -246,15 +269,15 @@ class TestTypesAndFormatting:
             Interval(-0.1, 0.5, 0.95, clipped=True)
 
     def test_summary_table_text_layout(self):
-        rows = [("steady", SummaryStats(0.798, 0.333, 195), ci_normal(SummaryStats(0.798, 0.333, 195), clip=True))]
+        rows = [("steady", SummaryStats(0.798, 0.333, 195), 3, ci_normal(SummaryStats(0.798, 0.333, 195), clip=True))]
         text = format_summary_table(rows)
-        assert text.splitlines()[0].split() == ["agent", "mean", "std", "n", "95%", "CI"]
-        assert "steady  0.798  0.333  195  [0.751, 0.845]" in text
+        assert text.splitlines()[0].split() == ["agent", "mean", "std", "n", "failed", "95%", "CI"]
+        assert "steady  0.798  0.333  195       3  [0.751, 0.845]" in text
 
     def test_summary_table_csv(self):
         stats = SummaryStats(0.25, 0.5, 4)
-        text = format_summary_table([("a", stats, ci_normal(stats, clip=True))], fmt="csv")
-        assert text.splitlines() == ["agent,mean,std,n,ci_lo,ci_hi", "a,0.250,0.500,4,0.000,0.740"]
+        text = format_summary_table([("a", stats, 1, ci_normal(stats, clip=True))], fmt="csv")
+        assert text.splitlines() == ["agent,mean,std,n,failed,ci_lo,ci_hi", "a,0.250,0.500,4,1,0.000,0.740"]
 
     def test_gap_table_csv(self):
         drop, ci = drop_ci(SummaryStats(0.794, 0.336, 195), SummaryStats(0.133, 0.135, 5))
@@ -263,5 +286,5 @@ class TestTypesAndFormatting:
 
     def test_three_decimal_round_half_even(self):
         stats = SummaryStats(0.0625, 0.0, 1)  # exactly representable half case: 0.0625 -> 0.062
-        text = format_summary_table([("x", stats, ci_normal(stats))], fmt="csv")
+        text = format_summary_table([("x", stats, 0, ci_normal(stats))], fmt="csv")
         assert ",0.062," in text.splitlines()[1]
