@@ -57,7 +57,6 @@ import os
 from contextlib import closing
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -115,13 +114,12 @@ def cell_seed(base_seed: int, agent_name: str, task_index: int, episode_index: i
 
 
 def _play(agent_cfg: AgentConfig, split: Split, base_seed: int, episodes_per_task: int):
-    """One agent config's (log lines, seed-table entries), its cells played in (task, episode) order.
+    """Yield one agent config's cells, played in (task, episode) order, each as its episode ends.
 
-    Each episode becomes its final log line as soon as it ends, so no record outlives it.
-    An :class:`AgentError` fails its cell only; any other exception aborts the run.
+    A cell is (its final log line, or ``None`` for a failed cell; its seed-table entry), so no
+    record outlives its episode. An :class:`AgentError` fails its cell only; any other exception
+    aborts the run. Closing the generator early closes the agent.
     """
-    lines = []
-    seed_table = []
     agent = make_agent(agent_cfg, split.train_rules)
     try:
         for task_index, task in enumerate(split.test_tasks):
@@ -133,19 +131,25 @@ def _play(agent_cfg: AgentConfig, split: Split, base_seed: int, episodes_per_tas
                     result = run_episode(task, agent, seed)
                 except AgentError as exc:
                     entry["status"] = f"failed: {exc}"
+                    yield None, entry
                 else:
                     record = dict(result.to_record(), task_index=task_index, episode_index=episode_index)
-                    lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-                seed_table.append(entry)
+                    yield json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n", entry
     finally:
         agent.close()
-    return lines, seed_table
 
 
-def _played(play, agents: list[AgentConfig], workers: int):
-    """Each agent's ``play`` result in the order of ``agents``, as soon as it and those before it are done."""
+def _play_all(agent_cfg: AgentConfig, split: Split, base_seed: int, episodes_per_task: int) -> list:
+    """One agent config's cells as a list: what a pool worker returns, pickled by name."""
+    return list(_play(agent_cfg, split, base_seed, episodes_per_task))
+
+
+def _played(agents: list[AgentConfig], workers: int, **play):
+    """Every cell of ``agents`` in their order: at one worker as each episode ends, under the
+    pool each agent's cells once it and those before it are done."""
     if workers == 1:
-        yield from map(play, agents)
+        for agent in agents:
+            yield from _play(agent, **play)
         return
     import multiprocessing
     from collections import deque
@@ -164,10 +168,10 @@ def _played(play, agents: list[AgentConfig], workers: int):
             if any(future.done() and future.exception() for future in started):
                 break
             while started and started[0].done():
-                yield started.popleft().result()
-            started.append(pool.submit(play, agent))
+                yield from started.popleft().result()
+            started.append(pool.submit(_play_all, agent, **play))
         for future in started:
-            yield future.result()
+            yield from future.result()
 
 
 def run_experiment(config: ExperimentConfig, split: Split | None = None) -> RunManifest:
@@ -193,22 +197,25 @@ def run_experiment(config: ExperimentConfig, split: Split | None = None) -> RunM
         raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
 
     agents = sorted(config.agents, key=lambda a: a.name)
-    play = partial(_play, split=split, base_seed=config.base_seed, episodes_per_task=config.episodes_per_task)
+    play = dict(split=split, base_seed=config.base_seed, episodes_per_task=config.episodes_per_task)
     workers = min(config.parallelism, os.cpu_count() or 1, len(agents))
     log_path, manifest_path = out_dir / EPISODE_LOG, out_dir / MANIFEST_FILE
     log_tmp, manifest_tmp = (path.with_name(path.name + ".tmp") for path in (log_path, manifest_path))
     seed_table: list[dict[str, Any]] = []
     try:
-        # Line-buffered, so the file holds every line written. The pool is shut down
-        # before the log is closed, also when a write fails.
-        with log_tmp.open("w", buffering=1) as log, closing(_played(play, agents, workers)) as played:
-            for lines, entries in played:
-                log.writelines(lines)
-                seed_table += entries
+        # Line-buffered, so the file holds every line written. Closing the cells shuts the
+        # pool down, or closes the agent playing, before the log is closed, also when a write fails.
+        with log_tmp.open("w", buffering=1) as log, closing(_played(agents, workers, **play)) as cells:
+            for line, entry in cells:
+                if line is not None:
+                    log.write(line)
+                seed_table.append(entry)
         manifest = RunManifest(name=config.name, config=to_json(config), split=to_json(split),
                                seed_table=seed_table, artifact_version=__version__, started_at=started,
                                finished_at=datetime.now(timezone.utc).isoformat())
-        manifest_tmp.write_text(json.dumps(to_json(manifest), indent=2, sort_keys=True) + "\n")
+        with manifest_tmp.open("w") as out:
+            json.dump(to_json(manifest), out, indent=2, sort_keys=True)
+            out.write("\n")
         os.replace(log_tmp, log_path)
         os.replace(manifest_tmp, manifest_path)
     except BaseException:

@@ -111,25 +111,27 @@ def gap_report(id_records, ood_records) -> tuple[list[tuple[str, float, float, f
     return sorted(rows, key=lambda row: (-row[3], row[0])), warnings
 
 
-def _discover_runs(log_dir) -> list[tuple[RunManifest, list[dict[str, Any]]]]:
+def _discover_runs(log_dir) -> list[tuple[str, RunManifest, list[dict[str, Any]]]]:
+    """(directory name, manifest, records) of the run at ``log_dir``, or of each run directly under it."""
     log_dir = Path(log_dir)
     if not log_dir.is_dir():
         raise ConfigError(f"{log_dir} is not a directory")
     if (log_dir / EPISODE_LOG).exists():
-        return [load_run(log_dir)]
+        return [(log_dir.name, *load_run(log_dir))]
     runs = []
     for child in sorted(log_dir.iterdir()):
         if child.is_dir() and (child / EPISODE_LOG).exists():
-            runs.append(load_run(child))
+            runs.append((child.name, *load_run(child)))
     return runs
 
 
 def render_report(log_dir, mode: str, fmt: str = "text") -> tuple[str, list[str]]:
     """Assemble a report from a run directory (or a directory of runs).
 
-    ``id``/``ood`` summarize success per agent; ``gap`` pairs one in-distribution
-    run with one holdout run found under ``log_dir`` and reports drops. Failed
-    cells count as success 0, each agent that has any with a warning.
+    ``id``/``ood`` summarize success per agent; ``gap`` reports drops from the
+    in-distribution runs found under ``log_dir`` to the holdout runs. Every run
+    on a side is pooled, with a warning naming them when a side has more than
+    one. Failed cells count as success 0, each agent that has any with a warning.
     """
     if mode not in ("id", "ood", "gap"):
         raise ConfigError(f"mode must be one of id/ood/gap, got {mode!r}")
@@ -139,25 +141,30 @@ def render_report(log_dir, mode: str, fmt: str = "text") -> tuple[str, list[str]
         return table([], fmt), [f"no runs found under {log_dir}"]
 
     warnings: list[str] = []
-    sides = {"id": ([], []), "ood": ([], [])} if mode == "gap" else {mode: ([], [])}  # (records, failed cells)
-    for manifest, rows in runs:
+    sides = {"id": ([], [], []), "ood": ([], [], [])} if mode == "gap" else {mode: ([], [], [])}
+    for name, manifest, rows in runs:
         protocol = manifest.split["spec"]["protocol"]
         side = "id" if protocol == "id" else "ood"
         if side not in sides:
             warnings.append(f"run {manifest.name!r} has protocol {protocol!r} in an {mode} report")
             side = mode
-        records, failed = sides[side]
+        names, records, failed = sides[side]
+        names.append(name)
         records.extend(rows)
         failed.extend(_failed_cells(manifest))
+    for side, (names, _, _) in sides.items():
+        if len(names) > 1:
+            warnings.append(f"the {side} side pools {len(names)} runs: {', '.join(map(repr, names))}")
     if mode != "gap":
-        records, failed = sides[mode]
+        _, records, failed = sides[mode]
         if not records:
             warnings.append("no episode records found")
         return table(summary_report(records, failed), fmt), warnings + _failed_warnings(failed)
 
     for side, what in (("id", "in-distribution"), ("ood", "holdout")):
-        if not any(sides[side]):
+        _, records, failed = sides[side]
+        if not records and not failed:
             warnings.append(f"no {what} run found for the gap report")
-        warnings += _failed_warnings(sides[side][1], f" in the {side} runs")
-    rows, gap_warnings = gap_report(*(records + failed for records, failed in sides.values()))
+        warnings += _failed_warnings(failed, f" in the {side} runs")
+    rows, gap_warnings = gap_report(*(records + failed for _, records, failed in sides.values()))
     return table(rows, fmt), warnings + gap_warnings

@@ -233,9 +233,12 @@ class TestRunExperiment:
         results = []
         real_run_episode = harness.run_episode
         monkeypatch.setattr(harness, "run_episode", lambda *args: results.append(real_run_episode(*args)) or results[-1])
-        lines, entries = harness._play(cfg.agents[1], make_split(cfg.split), cfg.base_seed, cfg.episodes_per_task)
-        assert len(lines) == len(results) == len(entries) == 9
-        for line, result, entry in zip(lines, results, entries):
+        cells = []
+        for line, entry in harness._play(cfg.agents[1], make_split(cfg.split), cfg.base_seed, cfg.episodes_per_task):
+            assert len(results) == len(cells) + 1  # yielded as its episode ends, before the next one plays
+            cells.append((line, entry))
+        assert len(cells) == len(results) == 9
+        for (line, entry), result in zip(cells, results):
             record = dict(result.to_record(), task_index=entry["task_index"], episode_index=entry["episode_index"])
             assert type(line) is str
             assert line == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
@@ -243,7 +246,7 @@ class TestRunExperiment:
     def test_each_agents_lines_are_written_before_the_next_agent_plays(self, tmp_path, monkeypatch):
         cfg = small_config(tmp_path / "run")
         first, second = sorted(cfg.agents, key=lambda a: a.name)
-        expected, _ = harness._play(first, make_split(cfg.split), cfg.base_seed, cfg.episodes_per_task)
+        expected = [line for line, _ in harness._play(first, make_split(cfg.split), cfg.base_seed, cfg.episodes_per_task)]
         on_disk = []
         real_run_episode = harness.run_episode
 
@@ -257,6 +260,72 @@ class TestRunExperiment:
         assert on_disk == ["".join(expected).encode()]
         assert (tmp_path / "run" / "episodes.jsonl").read_bytes().startswith(on_disk[0])
 
+    def test_one_worker_writes_each_line_before_the_next_episode_plays(self, tmp_path, monkeypatch):
+        on_disk = []
+        real_run_episode = harness.run_episode
+
+        def watching(task, agent, seed):
+            on_disk.append((tmp_path / "run" / "episodes.jsonl.tmp").read_text())
+            return real_run_episode(task, agent, seed)
+
+        monkeypatch.setattr(harness, "run_episode", watching)
+        run_experiment(small_config(tmp_path / "run"))
+        lines = (tmp_path / "run" / "episodes.jsonl").read_text().splitlines(keepends=True)
+        assert len(on_disk) == len(lines) == 2 * 3 * 3
+        assert on_disk == ["".join(lines[:played]) for played in range(len(lines))]
+
+    def test_manifest_is_its_canonical_indented_json(self, tmp_path):
+        manifest = run_experiment(small_config(tmp_path / "run"))
+        written = (tmp_path / "run" / "manifest.json").read_text()
+        assert written == json.dumps(to_json(manifest), indent=2, sort_keys=True) + "\n"
+
+    def test_failed_line_write_closes_the_playing_agent_before_the_abort(self, tmp_path, monkeypatch):
+        events = []
+        real_make_agent = make_agent
+
+        def recording_make_agent(cfg, rules=()):
+            agent = real_make_agent(cfg, rules)
+            real_close = agent.close
+            agent.close = lambda: events.append(f"close {agent.name}") or real_close()
+            return agent
+
+        class FailingLog:
+            def __init__(self, file):
+                self.file, self.writes = file, 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 4:  # the first agent's fourth line: that agent is mid-play
+                    raise OSError(28, "simulated: no space left on device")
+                return self.file.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                events.append("log closed")
+                return self.file.__exit__(*exc)
+
+        real_open = Path.open
+        real_unlink = Path.unlink
+
+        def failing_open(self, *args, **kwargs):
+            file = real_open(self, *args, **kwargs)
+            return FailingLog(file) if self.name == "episodes.jsonl.tmp" else file
+
+        def recording_unlink(self, *args, **kwargs):
+            events.append(f"unlink {self.name}")
+            return real_unlink(self, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "make_agent", recording_make_agent)
+        monkeypatch.setattr(Path, "open", failing_open)
+        monkeypatch.setattr(Path, "unlink", recording_unlink)
+        with pytest.raises(OSError, match="no space"):
+            run_experiment(small_config(tmp_path / "run"))
+        monkeypatch.undo()
+        assert events == ["close belief_mpc", "log closed", "unlink episodes.jsonl.tmp", "unlink manifest.json.tmp"]
+        assert list((tmp_path / "run").iterdir()) == []
+
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_abort_after_lines_were_written_keeps_previous_outputs(self, tmp_path, monkeypatch, pools, parallelism):
         agents = (AgentConfig(kind="random"), AgentConfig(kind="tabular_q"))
@@ -267,7 +336,7 @@ class TestRunExperiment:
         faulty = dataclasses.replace(cfg, base_seed=78, parallelism=parallelism,
                                      agents=agents + (AgentConfig(kind="random", name="zz-last"),))
         split = make_split(cfg.split)
-        written = "".join(line for a in agents for line in harness._play(a, split, 78, cfg.episodes_per_task)[0])
+        written = "".join(line for a in agents for line, _ in harness._play(a, split, 78, cfg.episodes_per_task))
         real_run_episode = harness.run_episode
 
         def broken_last(task, agent, seed):
@@ -414,6 +483,22 @@ class TestReports:
         assert "0.750" in lines[1] and "0.250" in lines[1] and "0.500" in lines[1]
         assert warnings == ["agent 'only-id' missing from the ood logs; omitted from the gap table",
                             "agent 'only-ood' missing from the id logs; omitted from the gap table"]
+
+    def test_a_side_that_pools_runs_names_them_in_every_mode(self, tmp_path):
+        write_synthetic_run(tmp_path / "id_a", "id", {"a": [1.0, 1.0]})
+        write_synthetic_run(tmp_path / "id_b", "id", {"a": [1.0, 0.0]})
+        write_synthetic_run(tmp_path / "ood_a", "holdout_rule", {"a": [0.0, 0.0]})
+        text, warnings = render_report(tmp_path, "gap", fmt="csv")
+        assert text.splitlines()[1].startswith("a,0.750,0.000,0.750,")
+        assert warnings == ["the id side pools 2 runs: 'id_a', 'id_b'"]
+        text, warnings = render_report(tmp_path, "id", fmt="csv")
+        assert text.splitlines()[1].startswith("a,0.500,0.548,6,0,")
+        assert warnings == ["run 'ood_a' has protocol 'holdout_rule' in an id report",
+                            "the id side pools 3 runs: 'id_a', 'id_b', 'ood_a'"]
+        _, warnings = render_report(tmp_path, "ood")
+        assert warnings == ["run 'id_a' has protocol 'id' in an ood report",
+                            "run 'id_b' has protocol 'id' in an ood report",
+                            "the ood side pools 3 runs: 'id_a', 'id_b', 'ood_a'"]
 
     def test_failed_cells_count_as_success_zero(self, tmp_path):
         write_synthetic_run(tmp_path / "run", "id", {"steady": [1.0, 1.0], "flaky": [1.0, 1.0]}, failed={"flaky": 2})
