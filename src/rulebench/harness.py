@@ -25,16 +25,18 @@ be a directory fails the run before any work. Each episode becomes its final
 log line and its seed-table entry where it was played (in the worker, under
 the pool), so both are built in their final order with no sort, and no
 record outlives its episode. ``run_experiment`` then publishes in one
-sequence: it opens ``episodes.jsonl.tmp`` line-buffered; writes each agent's
-lines as soon as it and every agent before it by name are done, and extends
-the seed table (so a run holds at most the lines of agents that are done but
-not yet written, never the run's transcripts); builds the manifest once and
-writes ``manifest.json.tmp``; then renames the log and the manifest into
-place. Any exception before the renames removes both temporary files, so a
-run that fails leaves the previous pair (or none). A run killed outright can
-leave ``episodes.jsonl.tmp``, which the next run in the directory replaces.
-Only a crash or a failed rename between the two renames can leave a new log
-beside the previous manifest:
+sequence: it opens ``episodes.jsonl.tmp`` line-buffered; writes each line
+and extends the seed table, at one worker as each episode ends (so the run
+holds no log line, only the seed table) and under the pool as soon as an
+agent and every agent before it by name are done (so each worker holds one
+agent's lines, and the run at most those of agents done but not yet
+written); builds the manifest once and dumps it into ``manifest.json.tmp``;
+then renames the log and the manifest into place. A run that aborts while an
+agent plays closes that agent first. Any exception before the renames
+removes both temporary files, so a run that fails leaves the previous pair
+(or none). A run killed outright can leave ``episodes.jsonl.tmp``, which the
+next run in the directory replaces. Only a crash or a failed rename between
+the two renames can leave a new log beside the previous manifest:
 
 * ``episodes.jsonl`` — one JSON record per episode (the episode's fields plus
   its ``task_index``/``episode_index`` coordinates), in (agent, task index,

@@ -141,6 +141,7 @@ def render_report(log_dir, mode: str, fmt: str = "text") -> tuple[str, list[str]
         return table([], fmt), [f"no runs found under {log_dir}"]
 
     warnings: list[str] = []
+    # each side's (run directory names, records, failed cells)
     sides = {"id": ([], [], []), "ood": ([], [], [])} if mode == "gap" else {mode: ([], [], [])}
     for name, manifest, rows in runs:
         protocol = manifest.split["spec"]["protocol"]
