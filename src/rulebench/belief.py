@@ -134,18 +134,12 @@ def _entropy_bits(probs: np.ndarray) -> float:
 
 def _outcome_posteriors(belief: Belief, s: Tape, a: Action):
     """For each possible next tape: its predictive mass and the posterior it induces."""
-    groups: dict[int, list[int]] = {}
-    order: list[int] = []
+    groups: dict[int, list[int]] = {}  # predicted next tape -> its rules' indices, in first-prediction order
     for idx, (z, p) in enumerate(zip(belief.support, belief.probs)):
         if p <= 0.0:
             continue
-        bits = _prediction_bits(s, a, z)
-        if bits not in groups:
-            groups[bits] = []
-            order.append(bits)
-        groups[bits].append(idx)
-    for bits in order:
-        idxs = groups[bits]
+        groups.setdefault(_prediction_bits(s, a, z), []).append(idx)
+    for idxs in groups.values():
         mass = float(belief.probs[idxs].sum())
         posterior = np.zeros(len(belief.support))
         posterior[idxs] = belief.probs[idxs] / mass

@@ -98,7 +98,6 @@ def serve(agent: Agent, infile: IO[str] | None = None, outfile: IO[str] | None =
     infile = infile if infile is not None else sys.stdin
     outfile = outfile if outfile is not None else sys.stdout
     episode: tuple[Tape, Action] | None = None  # the last observation and the action taken on it
-    replies: Mapping[Action, str] = {}  # the act lines of the episode's tape length
 
     for line in infile:
         if not line.strip():
@@ -115,7 +114,6 @@ def serve(agent: Agent, infile: IO[str] | None = None, outfile: IO[str] | None =
             if kind == "reset":
                 task, obs, seed = _decode(message, task=TaskSpec, obs=Tape, seed=int)
                 agent.begin_episode(task, obs, seed)
-                replies = _act_lines(task.length)
                 done = False
             elif kind == "step":
                 if episode is None:
@@ -126,7 +124,7 @@ def serve(agent: Agent, infile: IO[str] | None = None, outfile: IO[str] | None =
                 raise ValueError(f"unknown request type {kind!r}")
             action = Action.no_op() if done else agent.act(obs)
             episode = None if done else (obs, action)
-            _write(outfile, replies.get(action) or _line("act", action=to_json(action)))
+            _write(outfile, _act_lines(obs.length).get(action) or _line("act", action=to_json(action)))
         except Exception as exc:
             episode = None
             _write(outfile, _line("error", message=str(exc)))

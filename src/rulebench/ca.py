@@ -89,7 +89,7 @@ class Tape:
 
     def with_flip(self, i: int) -> "Tape":
         if not 0 <= i < self.length:
-            raise DomainError(f"flip index {i} out of range for length {self.length}")
+            raise DomainError(f"flip index {i} out of bounds for length {self.length}")
         return Tape(self.bits ^ (1 << i), self.length)
 
     def __str__(self) -> str:

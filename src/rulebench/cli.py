@@ -40,23 +40,28 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--split-manifest", type=Path, default=None,
                        help="run against a previously generated split manifest instead of regenerating")
     run_p.add_argument("--force", action="store_true", help="replace the run already in the output directory")
+    run_p.set_defaults(handler=_cmd_run)
 
     report_p = sub.add_parser("report", help="render tables from run logs")
     report_p.add_argument("log_dir", type=Path)
     report_p.add_argument("--mode", choices=("id", "ood", "gap"), required=True)
     report_p.add_argument("--fmt", choices=("text", "csv"), default="text")
+    report_p.set_defaults(handler=_cmd_report)
 
     theory_p = sub.add_parser("verify-theory", help="check the information-gain identities")
     theory_p.add_argument("--trials", type=int, default=1000)
     theory_p.add_argument("--seed", type=int, default=0)
+    theory_p.set_defaults(handler=_cmd_verify_theory)
 
     split_p = sub.add_parser("verify-split", help="validate a split manifest")
     split_p.add_argument("manifest", type=Path)
+    split_p.set_defaults(handler=_cmd_verify_split)
 
     bridge_p = sub.add_parser("bridge-serve", help="serve a built-in agent over stdin/stdout")
     bridge_p.add_argument("kind")
     bridge_p.add_argument("--rules", default=None, help="comma-separated hypothesis rules for belief agents")
     bridge_p.add_argument("--agent-config", type=Path, default=None, help="JSON file of agent config fields")
+    bridge_p.set_defaults(handler=_cmd_bridge_serve)
 
     return parser
 
@@ -132,8 +137,11 @@ def _cmd_bridge_serve(args) -> int:
     fields = {}
     if args.agent_config is not None:
         fields = from_json(dict, read_json(args.agent_config), "agent")
+    if fields.get("kind", args.kind) != args.kind:
+        raise ConfigError(f"config key agent.kind is {fields['kind']!r} in {args.agent_config}, "
+                          f"but bridge-serve was asked to serve {args.kind!r}")
     try:
-        rules = tuple(int(r) for r in args.rules.split(",")) if args.rules else tuple(range(256))
+        rules = tuple(int(r) for r in args.rules.split(",")) if args.rules is not None else tuple(range(256))
     except ValueError:
         raise ConfigError(f"--rules must be comma-separated integers, got {args.rules!r}") from None
     agent = make_agent(from_json(AgentConfig, dict(fields, kind=args.kind), "agent"), rules)
@@ -146,15 +154,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the problem; exit code 2 is its usage error
         return EXIT_VALIDATION if exc.code == 2 else exc.code
-    handlers = {
-        "run": _cmd_run,
-        "report": _cmd_report,
-        "verify-theory": _cmd_verify_theory,
-        "verify-split": _cmd_verify_split,
-        "bridge-serve": _cmd_bridge_serve,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

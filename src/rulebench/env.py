@@ -131,8 +131,6 @@ def intervene(state: Tape, action: Action) -> Tape:
     """Apply the agent's edit before the rule update."""
     if action.kind == "no_op":
         return state
-    if action.index >= state.length:
-        raise DomainError(f"flip index {action.index} out of bounds for length {state.length}")
     return state.with_flip(action.index)
 
 
@@ -214,7 +212,6 @@ def run_episode(task: TaskSpec, agent, episode_seed: int) -> EpisodeResult:
 
     transitions: list[Transition] = []
     ret = 0.0
-    success = 0.0
     for step_i in range(task.horizon):
         try:
             action = agent.act(state)
@@ -227,8 +224,6 @@ def run_episode(task: TaskSpec, agent, episode_seed: int) -> EpisodeResult:
                              f"(rule={task.rule}, seed={episode_seed}): {exc}") from exc
         transitions.append(Transition(state, action, next_state))
         ret += reward
-        if next_state == task.target:
-            success = 1.0
         state = next_state
         if done:
             break
@@ -236,7 +231,7 @@ def run_episode(task: TaskSpec, agent, episode_seed: int) -> EpisodeResult:
     return EpisodeResult(
         task=task,
         agent_id=agent.name,
-        success=success,
+        success=float(state == task.target),  # an episode that reaches the goal ends there
         ret=ret,
         steps_used=len(transitions),
         transitions=tuple(transitions),

@@ -215,6 +215,15 @@ def _sample_moments(xs: Sequence[float]) -> tuple[float, float]:
     return mean, math.fsum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
 
 
+def _t_test(diff: float, se2: float, dof: float, kind: str) -> TestResult:
+    """Two-sided t-test of a mean difference ``diff`` whose squared standard error is ``se2``."""
+    if se2 == 0.0:  # constant samples: equal ones give statistic 0 and p 1, unequal ones +-inf and p 0
+        statistic = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
+    else:
+        statistic = diff / math.sqrt(se2)
+    return TestResult(statistic, dof, _t_two_sided_p(statistic, dof), kind)
+
+
 def welch_t(sample_a: Sequence[float], sample_b: Sequence[float]) -> TestResult:
     """Two-sample t-test without the equal-variance assumption."""
     a = [float(x) for x in sample_a]
@@ -223,16 +232,10 @@ def welch_t(sample_a: Sequence[float], sample_b: Sequence[float]) -> TestResult:
         raise DomainError("welch_t requires at least 2 observations per sample")
     mean_a, var_a = _sample_moments(a)
     mean_b, var_b = _sample_moments(b)
-    if var_a == 0.0 and var_b == 0.0:
-        dof = float(len(a) + len(b) - 2)
-        if mean_a == mean_b:
-            return TestResult(0.0, dof, 1.0, "welch")
-        statistic = math.inf if mean_a > mean_b else -math.inf
-        return TestResult(statistic, dof, 0.0, "welch")
     sea, seb = var_a / len(a), var_b / len(b)
-    statistic = (mean_a - mean_b) / math.sqrt(sea + seb)
-    dof = (sea + seb) ** 2 / (sea**2 / (len(a) - 1) + seb**2 / (len(b) - 1))
-    return TestResult(statistic, dof, _t_two_sided_p(statistic, dof), "welch")
+    se2 = sea + seb
+    dof = se2**2 / (sea**2 / (len(a) - 1) + seb**2 / (len(b) - 1)) if se2 else float(len(a) + len(b) - 2)
+    return _t_test(mean_a - mean_b, se2, dof, "welch")
 
 
 def paired_t(diff_pairs: Sequence[tuple[float, float]]) -> TestResult:
@@ -243,13 +246,7 @@ def paired_t(diff_pairs: Sequence[tuple[float, float]]) -> TestResult:
     diffs = [float(a - b) for a, b in pairs]
     dof = float(len(diffs) - 1)
     mean_d, var_d = _sample_moments(diffs)
-    if var_d == 0.0:
-        if mean_d == 0.0:
-            return TestResult(0.0, dof, 1.0, "paired")
-        statistic = math.inf if mean_d > 0 else -math.inf
-        return TestResult(statistic, dof, 0.0, "paired")
-    statistic = mean_d / math.sqrt(var_d / len(diffs))
-    return TestResult(statistic, dof, _t_two_sided_p(statistic, dof), "paired")
+    return _t_test(mean_d, var_d / len(diffs), dof, "paired")
 
 
 # --- grouping and tables ---------------------------------------------------
@@ -296,13 +293,19 @@ def format_gap_table(rows: Sequence[tuple[str, float, float, float, Interval]], 
 def _table(columns: tuple[str, ...], ci_label: str, rows: list[tuple], fmt: str) -> str:
     """Rows of cell strings ending in an interval, under ``columns``.
 
-    CSV gives the interval two columns, ``ci_lo`` and ``ci_hi``. Text gives it
-    one ``[lo, hi]`` column headed ``ci_label``, left-aligns the first column
-    and right-aligns the rest.
+    CSV gives the interval two columns, ``ci_lo`` and ``ci_hi``, and quotes a
+    cell that holds a comma, quote or newline. Text gives the interval one
+    ``[lo, hi]`` column headed ``ci_label``, left-aligns the first column and
+    right-aligns the rest.
     """
     if fmt == "csv":
-        lines = [columns + ("ci_lo", "ci_hi")] + [(*cells, _fmt(ci.lo), _fmt(ci.hi)) for *cells, ci in rows]
-        return "\n".join(",".join(line) for line in lines)
+        import csv  # here, not at import: text reports do not need it
+        import io
+
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(
+            [columns + ("ci_lo", "ci_hi")] + [(*cells, _fmt(ci.lo), _fmt(ci.hi)) for *cells, ci in rows])
+        return out.getvalue()[:-1]
     if fmt != "text":
         raise DomainError(f"fmt must be 'text' or 'csv', got {fmt!r}")
     lines = [columns + (ci_label,)] + [(*cells, f"[{_fmt(ci.lo)}, {_fmt(ci.hi)}]") for *cells, ci in rows]

@@ -8,6 +8,10 @@ the pool's output order. The short runs cover few decisions, so desk and
 default are also pinned at full size, where one changed tie among
 thousands of decisions shows. Full default, the slowest test of the suite,
 runs at parallelism 2 only.
+
+The report of the desk run and the theory check's largest deviation are
+pinned too, so that a change to reporting or to the belief layer shows in
+the bytes it moves.
 """
 
 import dataclasses
@@ -17,7 +21,8 @@ from pathlib import Path
 import pytest
 
 from rulebench import run_experiment
-from rulebench.harness import load_config
+from rulebench.harness import load_config, verify_theory
+from rulebench.report import render_report
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -33,6 +38,12 @@ GOLDEN = {
     "desk-full": ("desk.json", {}, "0d586b30faa3c83f4a369311e7021b5cf8febfec94232af88d0e392d2364722e", (1, 2)),
     "default-full": ("default.json", {}, "50b6a7f39d05509a16f4d904595d8783bf12abab490741feacdb5a2d47ed269c", (2,)),
 }
+# fmt -> digest of render_report(<the desk golden run>, "ood", fmt)'s text
+REPORT_DIGESTS = {
+    "text": "f40cb5440869c97296aad568cddf79566804c8e0b4445189f73971649e6cdfde",
+    "csv": "bb55e8249eeb6f569e0ecefdbda4a7b47172acc028b887d79b0c02fe57559c8a",
+}
+THEORY_MAX_DEVIATION = "1.3322676295501878e-15"  # repr of verify_theory(500, seed=0).max_deviation
 CASES = sorted((name, parallelism) for name, golden in GOLDEN.items() for parallelism in golden[3])
 
 
@@ -45,3 +56,19 @@ def test_episode_log_digest(name, parallelism, tmp_path, pools):
     assert hashlib.sha256((tmp_path / "episodes.jsonl").read_bytes()).hexdigest() == digest
     workers = min(parallelism, len(config.agents))  # smoke has one agent, desk six, default five
     assert pools == ([workers] if workers > 1 else [])
+
+
+def test_report_digests(tmp_path):
+    filename, overrides, digest, _ = GOLDEN["desk"]
+    config = dataclasses.replace(load_config(CONFIGS / filename), output_dir=str(tmp_path),
+                                 parallelism=1, **overrides)
+    run_experiment(config)
+    assert hashlib.sha256((tmp_path / "episodes.jsonl").read_bytes()).hexdigest() == digest
+    for fmt, report_digest in REPORT_DIGESTS.items():
+        text, warnings = render_report(tmp_path, "ood", fmt)
+        assert warnings == []
+        assert hashlib.sha256(text.encode()).hexdigest() == report_digest, fmt
+
+
+def test_theory_max_deviation():
+    assert repr(verify_theory(500, seed=0).max_deviation) == THEORY_MAX_DEVIATION

@@ -681,6 +681,7 @@ class TestCli:
         (["report", "."], "the following arguments are required: --mode"),
         (["verify-theory", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
         (["bridge-serve", "random", "--rules", "30,x"], "--rules must be comma-separated integers, got '30,x'"),
+        (["bridge-serve", "belief_mpc", "--rules", ""], "--rules must be comma-separated integers, got ''"),
     ])
     def test_bad_command_line_is_validation_failure(self, capsys, argv, message):
         assert cli_main(argv) == 1
@@ -746,6 +747,18 @@ class TestCli:
         path.write_text("[1]")
         assert cli_main(["bridge-serve", "random", "--agent-config", str(path)]) == 1
         assert "config key agent must be an object, got an array" in capsys.readouterr().err
+
+    def test_agent_config_kind_must_be_the_served_kind(self, tmp_path, monkeypatch, capsys):
+        served = []
+        monkeypatch.setattr("rulebench.bridge.serve", served.append)
+        path = tmp_path / "agent.json"
+        path.write_text('{"kind": "tabular_q"}')
+        assert cli_main(["bridge-serve", "random", "--agent-config", str(path)]) == 1
+        assert "agent.kind is 'tabular_q'" in capsys.readouterr().err
+        assert served == []
+        path.write_text('{"kind": "random", "name": "r"}')  # an agents[] entry of the served kind is accepted
+        assert cli_main(["bridge-serve", "random", "--agent-config", str(path)]) == 0
+        assert [(agent.name, type(agent).__name__) for agent in served] == [("r", "RandomAgent")]
 
     @pytest.mark.parametrize("make,reason", [(lambda path: None, "No such file or directory"),
                                              (Path.mkdir, "Is a directory")], ids=["missing", "directory"])

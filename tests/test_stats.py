@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -155,6 +157,22 @@ class TestPaired:
             paired_t([(1.0, 0.5)])
 
 
+class TestDegenerateConventions:
+    """Constant samples: equal ones give statistic 0 and p 1, unequal ones +-inf and p 0, at the usual dof."""
+
+    CASES = [(0.5, 0.0, 1.0), (0.75, math.inf, 0.0), (0.25, -math.inf, 0.0)]
+
+    @pytest.mark.parametrize("a_value,statistic,p_value", CASES, ids=["equal", "higher", "lower"])
+    def test_welch(self, a_value, statistic, p_value):
+        result = welch_t([a_value] * 3, [0.5] * 4)
+        assert (result.statistic, result.p_value, result.dof, result.kind) == (statistic, p_value, 5.0, "welch")
+
+    @pytest.mark.parametrize("a_value,statistic,p_value", CASES, ids=["equal", "higher", "lower"])
+    def test_paired(self, a_value, statistic, p_value):
+        result = paired_t([(a_value, 0.5)] * 4)
+        assert (result.statistic, result.p_value, result.dof, result.kind) == (statistic, p_value, 3.0, "paired")
+
+
 class TestBootstrap:
     def test_constant_samples_collapse(self):
         ci = bootstrap_ci([0.7] * 10, resamples=500, seed=1)
@@ -283,6 +301,16 @@ class TestTypesAndFormatting:
         drop, ci = drop_ci(SummaryStats(0.794, 0.336, 195), SummaryStats(0.133, 0.135, 5))
         text = format_gap_table([("planner", 0.794, 0.133, drop, ci)], fmt="csv")
         assert text.splitlines()[1] == "planner,0.794,0.133,0.661,0.534,0.788"
+
+    def test_csv_quotes_a_name_holding_a_comma_or_quote(self):
+        name = 'rand,"om"'
+        stats = SummaryStats(0.25, 0.5, 4)
+        drop, ci = drop_ci(stats, stats)
+        for text in (format_summary_table([(name, stats, 1, ci_normal(stats, clip=True))], fmt="csv"),
+                     format_gap_table([(name, 0.25, 0.25, drop, ci)], fmt="csv")):
+            header, row = csv.reader(io.StringIO(text))
+            assert len(row) == len(header) and row[0] == name
+            assert text.splitlines()[1].startswith('"rand,""om""",')
 
     def test_three_decimal_round_half_even(self):
         stats = SummaryStats(0.0625, 0.0, 1)  # exactly representable half case: 0.0625 -> 0.062
