@@ -273,31 +273,28 @@ class TabularQAgent(_BuiltinAgent):
 
     def __init__(self, cfg: AgentConfig):
         super().__init__(cfg)
-        self.q: dict[tuple[int, int], np.ndarray] = {}
+        self.q: dict[tuple[int, int], list[float]] = {}
 
     def begin_episode(self, task: TaskSpec, obs: Tape, seed: int) -> None:
         if task.length > MAX_Q_LENGTH:
             raise ConfigError(f"tabular_q supports lengths up to {MAX_Q_LENGTH}, got {task.length}")
         super().begin_episode(task, obs, seed)
 
-    def _row(self, bits: int) -> np.ndarray:
-        key = (self.task.length, bits)
-        row = self.q.get(key)
-        if row is None:
-            row = self.q[key] = np.zeros(self.task.length + 1)
-        return row
+    def _row(self, bits: int) -> list[float]:
+        return self.q.setdefault((self.task.length, bits), [0.0] * (self.task.length + 1))
 
     def act(self, obs: Tape) -> Action:
         if self._rng.random() < self.cfg.q_exploration:
             i = int(self._rng.integers(0, self.task.length + 1))
         else:
-            i = int(np.argmax(self._row(obs.bits)))
+            row = self._row(obs.bits)
+            i = row.index(max(row))
         return Action.from_order_index(i, self.task.length)
 
     def observe(self, state: Tape, action: Action, reward: float, next_state: Tape, done: bool) -> None:
         row = self._row(state.bits)
         i = action.order_index(self.task.length)
-        bootstrap = float(np.max(self._row(next_state.bits)))
+        bootstrap = max(self._row(next_state.bits))
         row[i] += self.cfg.q_learning_rate * (reward + self.cfg.q_discount * bootstrap - row[i])
 
 

@@ -96,10 +96,6 @@ class Belief:
         return float(self.probs[self.support.index(rule)])
 
 
-def _prediction_bits(state: Tape, action: Action, rule: int) -> int:
-    return ca.step_bits(intervene(state, action).bits, state.length, rule)
-
-
 def _predict(rules, inputs, length: int) -> np.ndarray:
     """Next tapes of every rule (rows) from every input tape (columns), in one kernel call."""
     return ca.step_bits(ca.as_words(inputs)[None, :], length, ca.as_words(rules)[:, None])
@@ -135,10 +131,11 @@ def _entropy_bits(probs: np.ndarray) -> float:
 def _outcome_posteriors(belief: Belief, s: Tape, a: Action):
     """For each possible next tape: its predictive mass and the posterior it induces."""
     groups: dict[int, list[int]] = {}  # predicted next tape -> its rules' indices, in first-prediction order
-    for idx, (z, p) in enumerate(zip(belief.support, belief.probs)):
+    predicted = _predict(belief.support, [intervene(s, a).bits], s.length)[:, 0].tolist()
+    for idx, (bits, p) in enumerate(zip(predicted, belief.probs)):
         if p <= 0.0:
             continue
-        groups.setdefault(_prediction_bits(s, a, z), []).append(idx)
+        groups.setdefault(bits, []).append(idx)
     for idxs in groups.values():
         mass = float(belief.probs[idxs].sum())
         posterior = np.zeros(len(belief.support))
@@ -195,10 +192,11 @@ def info_gain_mi(belief: Belief, s: Tape, a: Action) -> float:
     """
     marginal: dict[int, float] = {}
     conditional = 0.0
-    for z, p in zip(belief.support, belief.probs):
+    predicted = _predict(belief.support, [intervene(s, a).bits], s.length)[:, 0].tolist()
+    for next_bits, p in zip(predicted, belief.probs):
         if p <= 0.0:
             continue
-        row = {_prediction_bits(s, a, z): 1.0}  # p(s' | z)
+        row = {next_bits: 1.0}  # p(s' | z) of the rule z that predicts next_bits
         conditional += p * -sum(q * math.log2(q) for q in row.values() if q > 0.0)
         for bits, q in row.items():
             marginal[bits] = marginal.get(bits, 0.0) + float(p) * q

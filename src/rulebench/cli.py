@@ -130,7 +130,7 @@ def _cmd_verify_split(args) -> int:
 
 
 def _cmd_bridge_serve(args) -> int:
-    from .agents import AgentConfig, make_agent
+    from .agents import AgentConfig, BeliefMpcAgent, make_agent
     from .bridge import serve
     from .codec import from_json, read_json
 
@@ -145,6 +145,8 @@ def _cmd_bridge_serve(args) -> int:
     except ValueError:
         raise ConfigError(f"--rules must be comma-separated integers, got {args.rules!r}") from None
     agent = make_agent(from_json(AgentConfig, dict(fields, kind=args.kind), "agent"), rules)
+    if args.rules is not None and not isinstance(agent, BeliefMpcAgent):
+        raise ConfigError(f"--rules sets a belief agent's hypothesis rules; a {args.kind!r} agent has none")
     serve(agent)
     return EXIT_OK
 

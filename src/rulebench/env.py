@@ -171,14 +171,11 @@ def make_target(rule: int, length: int, task_seed: int) -> Tape:
     uniform nonzero tape is drawn instead.
     """
     rng = make_rng(task_seed, "target")
-    start = _draw_bits(rng, length)
-    bits = start
+    bits = _draw_bits(rng, length)
     for _ in range(TARGET_SETTLE_STEPS):
         bits = ca.step_bits(bits, length, rule)
-    if bits == 0:
+    while bits == 0:
         bits = _draw_bits(rng, length)
-        while bits == 0:
-            bits = _draw_bits(rng, length)
     return Tape(bits, length)
 
 

@@ -249,7 +249,7 @@ class TheoryReport:
         )
 
 
-def verify_theory(trials: int, seed: int = 0, tolerance: float = THEORY_TOLERANCE) -> TheoryReport:
+def verify_theory(trials: int, seed: int = 0) -> TheoryReport:
     """Check the three information-gain computations agree on random instances.
 
     Each trial draws a random rule subset (size <= 16), a random belief over it
@@ -280,8 +280,8 @@ def verify_theory(trials: int, seed: int = 0, tolerance: float = THEORY_TOLERANC
         ig_k = info_gain_kl(belief, state, action)
         dev = max(abs(ig_e - ig_m), abs(ig_e - ig_k), abs(ig_m - ig_k))
         max_dev = max(max_dev, dev)
-        if dev > tolerance:
+        if dev > THEORY_TOLERANCE:
             violations += 1
         if ig_e < -1e-12 or ig_e > entropy(belief) + 1e-12:
             violations += 1
-    return TheoryReport(trials, max_dev, tolerance, violations, passed=violations == 0)
+    return TheoryReport(trials, max_dev, THEORY_TOLERANCE, violations, passed=violations == 0)

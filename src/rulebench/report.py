@@ -38,33 +38,37 @@ class RunManifest:
     finished_at: str
 
 
-_REPORT_RECORD_KEYS = ("agent", "success", "task_index")  # what reports read of each log record
-_REPORT_CELL_KEYS = ("agent", "status", "task_index")  # and of each seed-table entry
+_REPORT_RECORD_KEYS = {"agent": str, "success": float, "task_index": int}  # what reports read of each log record
+_REPORT_CELL_KEYS = {"agent": str, "status": str, "task_index": int}  # and of each seed-table entry
 
 
 def load_run(run_dir) -> tuple[RunManifest, list[dict[str, Any]]]:
     """A run's manifest and log records, refused with a :class:`ConfigError` naming the file (and
     line) that is not JSON, or the first manifest field or record key that reports need and do not
-    find, or a ``success`` that is not a number."""
+    find or find with the wrong type, or a ``success`` outside [0, 1]."""
     run_dir = Path(run_dir)
     manifest = from_json(RunManifest, read_json(run_dir / MANIFEST_FILE), "manifest")
     spec = manifest.split.get("spec")
     if not isinstance(spec, dict) or "protocol" not in spec:
         raise ConfigError("missing config key manifest.split.spec.protocol")
     for i, entry in enumerate(manifest.seed_table):
-        for key in _REPORT_CELL_KEYS:
+        for key, tp in _REPORT_CELL_KEYS.items():
             if key not in entry:
                 raise ConfigError(f"missing config key manifest.seed_table[{i}].{key}")
+            from_json(tp, entry[key], f"manifest.seed_table[{i}].{key}")
     log = run_dir / EPISODE_LOG
     records = []
     for n, line in enumerate(read_text(log).splitlines(), 1):
         if not line:
             continue
-        record = parse_json(line, f"{log} line {n}")
-        for key in _REPORT_RECORD_KEYS:
+        where = f"{log} line {n}"
+        record = parse_json(line, where)
+        for key, tp in _REPORT_RECORD_KEYS.items():
             if not isinstance(record, dict) or key not in record:
-                raise ConfigError(f"missing key {key} in {log} line {n}")
-        from_json(float, record["success"], f"success in {log} line {n}")
+                raise ConfigError(f"missing key {key} in {where}")
+            from_json(tp, record[key], f"{key} in {where}")
+        if not 0.0 <= record["success"] <= 1.0:
+            raise ConfigError(f"config key success in {where} must be in [0, 1], got {record['success']!r}")
         records.append(record)
     return manifest, records
 

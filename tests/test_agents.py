@@ -305,7 +305,7 @@ class TestTabularQ:
         agent = self.q_agent()
         agent.begin_episode(task_with(204, "0101"), tape("0000"), seed=1)
         assert agent.act(tape("1100")) == Action.flip(0)
-        assert agent.q[(4, tape("1100").bits)].tolist() == [0.0] * 5
+        assert agent.q[(4, tape("1100").bits)] == [0.0] * 5
 
     def test_long_tapes_rejected(self):
         agent = self.q_agent()

@@ -11,7 +11,10 @@ runs at parallelism 2 only.
 
 The report of the desk run and the theory check's largest deviation are
 pinned too, so that a change to reporting or to the belief layer shows in
-the bytes it moves.
+the bytes it moves. So are the Student-t numerics that every reported
+interval and p-value rests on: the ``repr`` of the incomplete beta, the t
+CDF and both t-tests at fixed inputs, where the scipy comparisons in
+``test_stats.py`` hold only within a tolerance.
 """
 
 import dataclasses
@@ -23,6 +26,7 @@ import pytest
 from rulebench import run_experiment
 from rulebench.harness import load_config, verify_theory
 from rulebench.report import render_report
+from rulebench.stats import paired_t, regularized_incomplete_beta, student_t_cdf, welch_t
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -44,6 +48,26 @@ REPORT_DIGESTS = {
     "csv": "bb55e8249eeb6f569e0ecefdbda4a7b47172acc028b887d79b0c02fe57559c8a",
 }
 THEORY_MAX_DEVIATION = "1.3322676295501878e-15"  # repr of verify_theory(500, seed=0).max_deviation
+# (a, b, x) crossing small and large a and b, with x on both sides of the continued fraction's switch at (a+1)/(a+b+2)
+BETA_GRID = [(a, b, x) for a in (0.5, 1.0, 2.5, 30.0, 400.0) for b in (0.5, 3.0, 150.0)
+             for x in (0.001, 0.2, 0.5, 0.8, 0.999)]
+BETA_GRID_DIGEST = "42a8805f92f72773ccff4ae8eb64998538b8f0a7e93e99e2af8458b922db6653"  # of the newline-joined reprs
+# (t, dof) -> repr of student_t_cdf(t, dof), at integer and fractional dof
+T_CDF = {
+    (-3.5, 1): "0.08858553278290468",
+    (-1.0, 2): "0.2113248654051873",
+    (0.0, 7): "0.5",
+    (0.4, 30): "0.6540047417429029",
+    (2.1, 2.5): "0.9277487776225781",
+    (12.0, 11.37): "0.9999999581652058",
+    (1.96, 1000): "0.9748634075221222",
+    (-0.7, 0.6): "0.3322690360992685",
+}
+SAMPLE_A = [0.61, 0.55, 0.72, 0.48, 0.66, 0.59, 0.7]
+SAMPLE_B = [0.41, 0.52, 0.38, 0.47, 0.35]
+SAMPLE_C = [0.58, 0.5, 0.69, 0.51, 0.6, 0.62, 0.64]  # paired with SAMPLE_A
+WELCH_T = "(4.264962425483891, 9.752130053178993, 0.001746453473533712)"  # (statistic, dof, p_value)
+PAIRED_T = "(1.6434520313776277, 6.0, 0.15139471965785625)"
 CASES = sorted((name, parallelism) for name, golden in GOLDEN.items() for parallelism in golden[3])
 
 
@@ -72,3 +96,20 @@ def test_report_digests(tmp_path):
 
 def test_theory_max_deviation():
     assert repr(verify_theory(500, seed=0).max_deviation) == THEORY_MAX_DEVIATION
+
+
+def test_incomplete_beta_grid_digest():
+    assert {x < (a + 1.0) / (a + b + 2.0) for a, b, x in BETA_GRID} == {True, False}  # both branches
+    text = "\n".join(repr(regularized_incomplete_beta(a, b, x)) for a, b, x in BETA_GRID)
+    assert hashlib.sha256(text.encode()).hexdigest() == BETA_GRID_DIGEST
+
+
+def test_student_t_cdf_pins():
+    assert {key: repr(student_t_cdf(*key)) for key in T_CDF} == T_CDF
+
+
+def test_t_test_pins():
+    welch = welch_t(SAMPLE_A, SAMPLE_B)
+    paired = paired_t(zip(SAMPLE_A, SAMPLE_C))
+    assert repr((welch.statistic, welch.dof, welch.p_value)) == WELCH_T
+    assert repr((paired.statistic, paired.dof, paired.p_value)) == PAIRED_T

@@ -687,6 +687,23 @@ class TestCli:
         assert cli_main(argv) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,rules", [("random", "1,2"), ("oracle_mpc", "110"), ("tabular_q", "999")])
+    def test_rules_refused_for_a_kind_without_hypothesis_rules(self, monkeypatch, capsys, kind, rules):
+        served = []
+        monkeypatch.setattr("rulebench.bridge.serve", served.append)
+        assert cli_main(["bridge-serve", kind, "--rules", rules]) == 1
+        assert f"a {kind!r} agent has none" in capsys.readouterr().err
+        assert served == []
+        assert cli_main(["bridge-serve", kind]) == 0  # the kind itself is served
+        assert len(served) == 1
+
+    @pytest.mark.parametrize("kind", ["belief_mpc", "belief_mpc_ig", "fallback_mpc"])
+    def test_rules_set_a_belief_kinds_hypothesis_rules(self, monkeypatch, kind):
+        served = []
+        monkeypatch.setattr("rulebench.bridge.serve", served.append)
+        assert cli_main(["bridge-serve", kind, "--rules", "30,90,110"]) == 0
+        assert [agent.rules for agent in served] == [(30, 90, 110)]
+
     @pytest.mark.parametrize("rules,message", [
         ("30,300", "rule must be in [0, 255], got 300"),
         ("30,30", "belief support must not contain duplicates"),
@@ -799,6 +816,26 @@ class TestCli:
         ("episodes.jsonl", lambda d: d.pop("success"), "missing key success in .*episodes.jsonl line 1"),
         ("episodes.jsonl", lambda d: d.update(success="yes"),
          r"config key success in .*episodes\.jsonl line 1 must be a number, got a string"),
+        ("episodes.jsonl", lambda d: d.update(success=7.5),
+         r"config key success in .*episodes\.jsonl line 1 must be in \[0, 1\], got 7\.5"),
+        ("episodes.jsonl", lambda d: d.update(success=-1),
+         r"config key success in .*episodes\.jsonl line 1 must be in \[0, 1\], got -1$"),
+        ("episodes.jsonl", lambda d: d.update(success=True),
+         r"config key success in .*episodes\.jsonl line 1 must be a number, got a boolean"),
+        ("episodes.jsonl", lambda d: d.update(agent=5),
+         r"config key agent in .*episodes\.jsonl line 1 must be a string, got an integer"),
+        ("episodes.jsonl", lambda d: d.update(task_index="x"),
+         r"config key task_index in .*episodes\.jsonl line 1 must be an integer, got a string"),
+        ("episodes.jsonl", lambda d: d.update(task_index=1.0),
+         r"config key task_index in .*episodes\.jsonl line 1 must be an integer, got a number"),
+        ("manifest.json", lambda d: d["seed_table"][1].update(agent=5, status="failed: synthetic"),
+         r"config key manifest\.seed_table\[1\]\.agent must be a string, got an integer"),
+        ("manifest.json", lambda d: d["seed_table"][1].update(status=5),
+         r"config key manifest\.seed_table\[1\]\.status must be a string, got an integer"),
+        ("manifest.json", lambda d: d["seed_table"][1].update(task_index="x"),
+         r"config key manifest\.seed_table\[1\]\.task_index must be an integer, got a string"),
+        ("manifest.json", lambda d: d["seed_table"][1].pop("status"),
+         r"missing config key manifest\.seed_table\[1\]\.status"),
         ("episodes.jsonl", None, r"episodes\.jsonl line 1: Expecting ',' delimiter"),  # the line cut short
         ("episodes.jsonl", "directory", r"episodes\.jsonl: cannot read: Is a directory"),
         ("episodes.jsonl", "binary", r"episodes\.jsonl: not UTF-8 text: byte 0"),

@@ -1,4 +1,5 @@
-"""The package's public surface: every exported name resolves, and so does every name the benchmark's tracer hooks or its probe calls."""
+"""The package's public surface: every exported name resolves, and so does every name the benchmark's tracer
+hooks, its probe calls or its micro-benchmarks use."""
 
 import dataclasses
 import importlib
@@ -50,7 +51,18 @@ PROBED_NAMES = {
 }
 
 
-@pytest.mark.parametrize("module,names", sorted(TRACED_NAMES.items()) + sorted(PROBED_NAMES.items()))
+# The names the benchmark's micro-benchmarks (perfbench/micro.py) import or call, by module.
+MICRO_NAMES = {
+    "belief": ("Belief", "info_gain_entropy", "posterior_update"),
+    "env": ("Action", "Transition", "intervene"),
+    "ca": ("Tape", "step_bits"),
+    "seeding": ("make_rng",),
+    "agents": ("AgentConfig", "plan_mpc"),
+}
+
+
+@pytest.mark.parametrize("module,names", sorted(TRACED_NAMES.items()) + sorted(PROBED_NAMES.items())
+                         + sorted(MICRO_NAMES.items()))
 def test_traced_names_resolve(module, names):
     mod = importlib.import_module(f"rulebench.{module}")
     assert [name for name in names if not callable(getattr(mod, name, None))] == []
@@ -59,7 +71,8 @@ def test_traced_names_resolve(module, names):
 def test_traced_signatures_and_fields():
     from rulebench import agents, bridge, env, harness
 
-    assert {"cfg", "weights", "state"} <= set(inspect.signature(agents.plan_mpc).parameters)
+    first_six = list(inspect.signature(agents.plan_mpc).parameters)[:6]  # the tracer reads cfg, weights and state
+    assert first_six == ["rules", "weights", "state", "target", "cfg", "rng"]  # perfbench/micro.py passes them positionally
     assert list(inspect.signature(harness.run_episode).parameters)[2] == "episode_seed"  # read positionally
     fields = {f.name for f in dataclasses.fields(agents.AgentConfig)}
     assert {"plan_horizon", "rollout_budget", "mixture_rules", "exact_mixture"} <= fields
