@@ -17,11 +17,11 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "agents": "AgentConfig make_agent",
-    "belief": "Belief entropy info_gain_entropy info_gain_kl info_gain_mi posterior_update",
+    "belief": "Belief entropy info_gain_entropy info_gain_kl info_gain_mi posterior_update verify_theory",
     "ca": "Tape decode_rule step",
     "env": "Action EpisodeResult TaskSpec Transition env_step intervene make_target reset run_episode",
     "errors": "AgentError ConfigError DomainError InconsistentObservationError",
-    "harness": "ExperimentConfig run_experiment verify_theory",
+    "harness": "ExperimentConfig run_experiment",
     "report": "RunManifest",
     "seeding": "derive_seed make_rng",
     "splits": "Split SplitReport SplitSpec make_split verify_split",

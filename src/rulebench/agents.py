@@ -136,11 +136,11 @@ def plan_mpc(
     target: Tape,
     cfg: AgentConfig,
     rng: np.random.Generator,
-    first_action_bonus: dict[int, float] | None = None,
+    first_action_bonus: list[float] | None = None,
 ) -> Action:
     """Random-shooting MPC over a weighted rule set; returns the best first action.
 
-    ``first_action_bonus`` maps action order-indices to additive score bonuses
+    ``first_action_bonus`` lists an additive score bonus per action order-index
     (used for the information-gain variant). Rollouts are evaluated under all
     positive-weight rules when there are at most ``mixture_rules`` of them (or
     ``exact_mixture`` is set and the support is small); otherwise under a
@@ -183,7 +183,7 @@ def plan_mpc(
         score += w * rule_acc
     first = sequences[:, 0]
     if first_action_bonus is not None:
-        score += np.array([first_action_bonus.get(i, 0.0) for i in range(n_actions)])[first]
+        score += np.array(first_action_bonus)[first]
     best_first = int(first[score == score.max()].min())
     return Action.from_order_index(best_first, length)
 
@@ -231,7 +231,7 @@ class BeliefMpcAgent(_BuiltinAgent):
     def act(self, obs: Tape) -> Action:
         bonus = None
         if self.cfg.kind == "belief_mpc_ig" and self.cfg.ig_weight > 0.0:
-            bonus = {i: self.cfg.ig_weight * gain for i, gain in enumerate(info_gain_sweep(self.live, obs))}
+            bonus = [self.cfg.ig_weight * gain for gain in info_gain_sweep(self.live, obs)]
         weights = np.full(len(self.live), 1.0 / len(self.live))
         return plan_mpc(self.live, weights, obs, self.task.target, self.cfg, self._rng, bonus)
 

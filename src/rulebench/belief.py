@@ -13,8 +13,9 @@ that are mathematically identical:
   from the joint distribution as marginal minus conditional entropy,
 * ``info_gain_kl`` — expected KL divergence from posterior to prior.
 
-Their agreement (to float noise) is a machine-checkable identity; the
-``verify-theory`` harness entry point runs that check at scale.
+Their agreement (to float noise) is a machine-checkable identity:
+:func:`verify_theory`, which ``rulebench verify-theory`` runs, checks it on
+random instances at scale.
 
 From a uniform prior, 0/1 likelihoods keep the posterior uniform over the
 rules still consistent with what was seen (a version space): belief agents
@@ -36,10 +37,12 @@ import numpy as np
 from . import ca
 from .ca import Tape
 from .env import Action, Transition, action_flips, intervene
-from .errors import DomainError, InconsistentObservationError
+from .errors import ConfigError, DomainError, InconsistentObservationError
+from .seeding import make_rng
 
 __all__ = [
     "Belief",
+    "TheoryReport",
     "entropy",
     "info_gain_entropy",
     "info_gain_kl",
@@ -47,9 +50,11 @@ __all__ = [
     "info_gain_sweep",
     "posterior_update",
     "uniform_entropy",
+    "verify_theory",
 ]
 
 PROB_TOL = 1e-12
+THEORY_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,3 +221,62 @@ def info_gain_kl(belief: Belief, s: Tape, a: Action) -> float:
         kl = sum(q * (math.log2(q) - math.log2(prior[i])) for i, q in enumerate(post) if q > 0.0)
         total += mass * kl
     return float(total)
+
+
+# --- identity verification ---------------------------------------------------
+
+@dataclass
+class TheoryReport:
+    """Outcome of the randomized information-gain identity suite."""
+
+    trials: int
+    max_deviation: float
+    violations: int
+    passed: bool
+
+    def to_text(self) -> str:
+        if self.trials == 0:
+            return f"verify-theory: 0 trials (vacuous pass), tolerance={THEORY_TOLERANCE:g}"
+        status = "PASS" if self.passed else "FAIL"
+        return (
+            f"verify-theory: trials={self.trials} max_deviation={self.max_deviation:.3e} "
+            f"tolerance={THEORY_TOLERANCE:g} violations={self.violations} {status}"
+        )
+
+
+def verify_theory(trials: int, seed: int = 0) -> TheoryReport:
+    """Check the three information-gain computations agree on random instances.
+
+    Each trial draws a random rule subset (size <= 16), a random belief over it
+    (sometimes with zero-mass entries), a random tape (length 3-8) and action,
+    and compares all three computations pairwise; also enforces nonnegativity
+    and the entropy upper bound.
+    """
+    if trials < 0:
+        raise ConfigError("trials must be >= 0")
+    rng = make_rng(seed, "verify-theory")
+    max_dev = 0.0
+    violations = 0
+    for _ in range(trials):
+        length = int(rng.integers(3, 9))
+        k = int(rng.integers(1, 17))
+        support = tuple(int(r) for r in rng.choice(256, size=k, replace=False))
+        weights = rng.random(k)
+        if k > 1 and rng.random() < 0.4:
+            dead = rng.random(k) < 0.3
+            dead[int(rng.integers(0, k))] = False  # keep at least one alive
+            weights[dead] = 0.0
+        belief = Belief.from_weights(support, weights)
+        state = Tape(int(rng.integers(0, 1 << length)), length)
+        action = Action.from_order_index(int(rng.integers(0, length + 1)), length)
+
+        ig_e = info_gain_entropy(belief, state, action)
+        ig_m = info_gain_mi(belief, state, action)
+        ig_k = info_gain_kl(belief, state, action)
+        dev = max(abs(ig_e - ig_m), abs(ig_e - ig_k), abs(ig_m - ig_k))
+        max_dev = max(max_dev, dev)
+        if dev > THEORY_TOLERANCE:
+            violations += 1
+        if ig_e < -1e-12 or ig_e > entropy(belief) + 1e-12:
+            violations += 1
+    return TheoryReport(trials, max_dev, violations, passed=violations == 0)

@@ -104,7 +104,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_verify_theory(args) -> int:
-    from .harness import verify_theory
+    from .belief import verify_theory
 
     report = verify_theory(args.trials, args.seed)
     print(report.to_text())

@@ -1,4 +1,4 @@
-"""Experiment orchestration: seeded runs, their logs, and theory checks.
+"""Experiment orchestration: seeded runs and their logs.
 
 A run executes every (agent, test task, episode) cell of its config. Cell
 seeds are ``derive_seed(base_seed, agent_name, task_index, episode_index)``,
@@ -64,19 +64,15 @@ from typing import Any
 
 from . import __version__
 from .agents import MAX_Q_LENGTH, AgentConfig, make_agent
-from .belief import Belief, entropy, info_gain_entropy, info_gain_kl, info_gain_mi
-from .ca import Tape
 from .codec import from_json, read_json, to_json
-from .env import Action, run_episode
+from .env import run_episode
 from .errors import AgentError, ConfigError
 from .report import EPISODE_LOG, MANIFEST_FILE, RunManifest
 from .report import load_run, summary_report  # noqa: F401  (perfbench/probe.py calls them as harness.*)
-from .seeding import derive_seed, make_rng
+from .seeding import derive_seed
 from .splits import Split, SplitSpec, make_split, verify_split
 
-__all__ = ["ExperimentConfig", "TheoryReport", "cell_seed", "load_config", "run_experiment", "verify_theory"]
-
-THEORY_TOLERANCE = 1e-9
+__all__ = ["ExperimentConfig", "cell_seed", "load_config", "run_experiment"]
 
 
 @dataclass(frozen=True)
@@ -225,63 +221,3 @@ def run_experiment(config: ExperimentConfig, split: Split | None = None) -> RunM
         manifest_tmp.unlink(missing_ok=True)
         raise
     return manifest
-
-
-# --- identity verification ---------------------------------------------------
-
-@dataclass
-class TheoryReport:
-    """Outcome of the randomized information-gain identity suite."""
-
-    trials: int
-    max_deviation: float
-    tolerance: float
-    violations: int
-    passed: bool
-
-    def to_text(self) -> str:
-        if self.trials == 0:
-            return f"verify-theory: 0 trials (vacuous pass), tolerance={self.tolerance:g}"
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"verify-theory: trials={self.trials} max_deviation={self.max_deviation:.3e} "
-            f"tolerance={self.tolerance:g} violations={self.violations} {status}"
-        )
-
-
-def verify_theory(trials: int, seed: int = 0) -> TheoryReport:
-    """Check the three information-gain computations agree on random instances.
-
-    Each trial draws a random rule subset (size <= 16), a random belief over it
-    (sometimes with zero-mass entries), a random tape (length 3-8) and action,
-    and compares all three computations pairwise; also enforces nonnegativity
-    and the entropy upper bound.
-    """
-    if trials < 0:
-        raise ConfigError("trials must be >= 0")
-    rng = make_rng(seed, "verify-theory")
-    max_dev = 0.0
-    violations = 0
-    for _ in range(trials):
-        length = int(rng.integers(3, 9))
-        k = int(rng.integers(1, 17))
-        support = tuple(int(r) for r in rng.choice(256, size=k, replace=False))
-        weights = rng.random(k)
-        if k > 1 and rng.random() < 0.4:
-            dead = rng.random(k) < 0.3
-            dead[int(rng.integers(0, k))] = False  # keep at least one alive
-            weights[dead] = 0.0
-        belief = Belief.from_weights(support, weights)
-        state = Tape(int(rng.integers(0, 1 << length)), length)
-        action = Action.from_order_index(int(rng.integers(0, length + 1)), length)
-
-        ig_e = info_gain_entropy(belief, state, action)
-        ig_m = info_gain_mi(belief, state, action)
-        ig_k = info_gain_kl(belief, state, action)
-        dev = max(abs(ig_e - ig_m), abs(ig_e - ig_k), abs(ig_m - ig_k))
-        max_dev = max(max_dev, dev)
-        if dev > THEORY_TOLERANCE:
-            violations += 1
-        if ig_e < -1e-12 or ig_e > entropy(belief) + 1e-12:
-            violations += 1
-    return TheoryReport(trials, max_dev, THEORY_TOLERANCE, violations, passed=violations == 0)

@@ -38,14 +38,16 @@ class RunManifest:
     finished_at: str
 
 
-_REPORT_RECORD_KEYS = {"agent": str, "success": float, "task_index": int}  # what reports read of each log record
-_REPORT_CELL_KEYS = {"agent": str, "status": str, "task_index": int}  # and of each seed-table entry
+# What reports read of each log record, and of each seed-table entry; a cell is (agent, task_index, episode_index).
+_REPORT_RECORD_KEYS = {"agent": str, "success": float, "task_index": int, "episode_index": int}
+_REPORT_CELL_KEYS = {"agent": str, "status": str, "task_index": int, "episode_index": int}
 
 
 def load_run(run_dir) -> tuple[RunManifest, list[dict[str, Any]]]:
     """A run's manifest and log records, refused with a :class:`ConfigError` naming the file (and
     line) that is not JSON, or the first manifest field or record key that reports need and do not
-    find or find with the wrong type, or a ``success`` outside [0, 1]."""
+    find or find with the wrong type, or a ``success`` outside [0, 1], or the first line or cell
+    where the log's cells, in order, are not exactly the seed table's ``ok`` cells."""
     run_dir = Path(run_dir)
     manifest = from_json(RunManifest, read_json(run_dir / MANIFEST_FILE), "manifest")
     spec = manifest.split.get("spec")
@@ -56,6 +58,7 @@ def load_run(run_dir) -> tuple[RunManifest, list[dict[str, Any]]]:
             if key not in entry:
                 raise ConfigError(f"missing config key manifest.seed_table[{i}].{key}")
             from_json(tp, entry[key], f"manifest.seed_table[{i}].{key}")
+    cells = [(e["agent"], e["task_index"], e["episode_index"]) for e in manifest.seed_table if e["status"] == "ok"]
     log = run_dir / EPISODE_LOG
     records = []
     for n, line in enumerate(read_text(log).splitlines(), 1):
@@ -69,7 +72,14 @@ def load_run(run_dir) -> tuple[RunManifest, list[dict[str, Any]]]:
             from_json(tp, record[key], f"{key} in {where}")
         if not 0.0 <= record["success"] <= 1.0:
             raise ConfigError(f"config key success in {where} must be in [0, 1], got {record['success']!r}")
+        cell = (record["agent"], record["task_index"], record["episode_index"])
+        expected = cells[len(records)] if len(records) < len(cells) else None
+        if cell != expected:
+            raise ConfigError(f"{where} holds cell {cell}, but the seed table's next ok cell is {expected}"
+                              if expected else f"{where} holds cell {cell}, past the seed table's last ok cell")
         records.append(record)
+    if len(records) < len(cells):
+        raise ConfigError(f"{log}: no line for the seed table's ok cell {cells[len(records)]}")
     return manifest, records
 
 

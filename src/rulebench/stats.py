@@ -2,9 +2,8 @@
 
 Conventions, fixed so that reported tables are reproducible to the digit:
 
-* 95% normal intervals use z = 1.96 exactly (other levels use the inverse
-  normal CDF of :class:`statistics.NormalDist`); success-rate intervals may be
-  clipped to [0, 1] but difference intervals never are.
+* Every interval is 95%. Normal intervals use z = 1.96 exactly; success-rate
+  intervals may be clipped to [0, 1] but difference intervals never are.
 * Means and sample variances are two ``math.fsum`` passes: the mean is the
   correctly rounded sum over n, the variance the correctly rounded sum of
   squared deviations from that mean over n-1, so neither depends on the
@@ -66,16 +65,10 @@ class SummaryStats:
 class Interval:
     lo: float
     hi: float
-    level: float
-    clipped: bool = False
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
             raise DomainError(f"interval bounds out of order: [{self.lo}, {self.hi}]")
-        if not 0.0 < self.level < 1.0:
-            raise DomainError(f"level must be in (0, 1), got {self.level}")
-        if self.clipped and (self.lo < 0.0 or self.hi > 1.0):
-            raise DomainError("clipped intervals must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -151,36 +144,27 @@ def student_t_cdf(t: float, dof: float) -> float:
     return 1.0 - half_p if t >= 0 else half_p
 
 
-def _z_for_level(level: float) -> float:
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must be in (0, 1), got {level}")
-    if abs(level - 0.95) < 1e-12:
-        return Z_95
-    from statistics import NormalDist  # here, not at import: it loads decimal and fractions, ~0.5 MB
-    return NormalDist().inv_cdf(0.5 * (1.0 + level))
-
-
 # --- intervals -------------------------------------------------------------
 
-def ci_normal(stats: SummaryStats, level: float = 0.95, clip: bool = False) -> Interval:
-    """Normal-approximation interval ``mean +/- z * std / sqrt(n)``."""
-    half = _z_for_level(level) * stats.std / math.sqrt(stats.n)
+def ci_normal(stats: SummaryStats, clip: bool = False) -> Interval:
+    """Normal-approximation interval ``mean +/- 1.96 * std / sqrt(n)``."""
+    half = Z_95 * stats.std / math.sqrt(stats.n)
     lo, hi = stats.mean - half, stats.mean + half
     if clip:
         lo, hi = max(0.0, lo), min(1.0, hi)
-    return Interval(lo, hi, level, clipped=clip)
+    return Interval(lo, hi)
 
 
-def drop_ci(id_stats: SummaryStats, ood_stats: SummaryStats, level: float = 0.95) -> tuple[float, Interval]:
+def drop_ci(id_stats: SummaryStats, ood_stats: SummaryStats) -> tuple[float, Interval]:
     """Difference of means with an independent-estimates interval; never clipped."""
     drop = id_stats.mean - ood_stats.mean
-    half = _z_for_level(level) * math.sqrt(
+    half = Z_95 * math.sqrt(
         id_stats.std**2 / id_stats.n + ood_stats.std**2 / ood_stats.n
     )
-    return drop, Interval(drop - half, drop + half, level, clipped=False)
+    return drop, Interval(drop - half, drop + half)
 
 
-def bootstrap_ci(samples: Sequence[float], resamples: int = 10000, level: float = 0.95, seed: int = 0) -> Interval:
+def bootstrap_ci(samples: Sequence[float], resamples: int = 10000, seed: int = 0) -> Interval:
     """Percentile bootstrap interval for the mean; deterministic given ``seed``."""
     import numpy as np
 
@@ -194,9 +178,9 @@ def bootstrap_ci(samples: Sequence[float], resamples: int = 10000, level: float 
     rng = make_rng(seed, "bootstrap")
     idx = rng.integers(0, x.size, size=(resamples, x.size))
     means = x[idx].mean(axis=1)
-    alpha = 1.0 - level
+    alpha = 1.0 - 0.95
     lo, hi = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return Interval(float(lo), float(hi), level, clipped=False)
+    return Interval(float(lo), float(hi))
 
 
 # --- hypothesis tests ------------------------------------------------------

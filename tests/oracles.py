@@ -123,7 +123,7 @@ def reference_plan(rules, weights, cells, target_cells, rng, plan_horizon, rollo
                 acc += sum(1 for x, y in zip(state, target_cells) if x == y) / n
             score += w * acc
         if bonus is not None:
-            score += bonus.get(seq[0], 0.0)
+            score += bonus[seq[0]]
         if score > best_score or (score == best_score and seq[0] < best_first):
             best_score, best_first = score, seq[0]
     return best_first

@@ -324,7 +324,7 @@ class TestAcceptance:
         data_rng = make_rng(2718, "coverage")
         for trial in range(trials):
             x = data_rng.normal(0.0, 1.0, size=30)
-            ci = bootstrap_ci(x, resamples=2000, level=0.95, seed=trial)
+            ci = bootstrap_ci(x, resamples=2000, seed=trial)
             hits += ci.lo <= 0.0 <= ci.hi
         coverage = hits / trials
         coverage_ok = 0.91 <= coverage <= 0.98

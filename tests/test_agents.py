@@ -133,7 +133,7 @@ class TestPlanMatchesScalarReference:
         rng = np.random.default_rng(80 + seed)
         rules = tuple(int(r) for r in rng.choice(256, size=12, replace=False))
         cfg = AgentConfig(kind="belief_mpc_ig", plan_horizon=2, rollout_budget=20, exact_mixture=True, ig_weight=0.5)
-        bonus = {i: float(rng.choice([0.0, 0.25, 0.5])) for i in range(7)}  # coarse values make ties
+        bonus = [float(rng.choice([0.0, 0.25, 0.5])) for _ in range(7)]  # coarse values make ties
         self.check(rules, self.random_weights(rng, 12), 6, cfg, seed, bonus)
 
     def test_tapes_of_a_full_word(self):

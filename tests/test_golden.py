@@ -14,7 +14,9 @@ pinned too, so that a change to reporting or to the belief layer shows in
 the bytes it moves. So are the Student-t numerics that every reported
 interval and p-value rests on: the ``repr`` of the incomplete beta, the t
 CDF and both t-tests at fixed inputs, where the scipy comparisons in
-``test_stats.py`` hold only within a tolerance.
+``test_stats.py`` hold only within a tolerance. The interval bounds get
+the same pins: a bootstrap interval at a fixed seed, both reference drop
+rows, and a normal interval with and without clipping.
 """
 
 import dataclasses
@@ -24,9 +26,11 @@ from pathlib import Path
 import pytest
 
 from rulebench import run_experiment
-from rulebench.harness import load_config, verify_theory
+from rulebench.belief import verify_theory
+from rulebench.harness import load_config
 from rulebench.report import render_report
-from rulebench.stats import paired_t, regularized_incomplete_beta, student_t_cdf, welch_t
+from rulebench.stats import (SummaryStats, bootstrap_ci, ci_normal, drop_ci, paired_t, regularized_incomplete_beta,
+                             student_t_cdf, welch_t)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -68,6 +72,14 @@ SAMPLE_B = [0.41, 0.52, 0.38, 0.47, 0.35]
 SAMPLE_C = [0.58, 0.5, 0.69, 0.51, 0.6, 0.62, 0.64]  # paired with SAMPLE_A
 WELCH_T = "(4.264962425483891, 9.752130053178993, 0.001746453473533712)"  # (statistic, dof, p_value)
 PAIRED_T = "(1.6434520313776277, 6.0, 0.15139471965785625)"
+BOOTSTRAP_CI = "(0.5557142857142857, 0.6714285714285715)"  # (lo, hi) of SAMPLE_A, 2000 resamples, seed 7
+# ((id mean, std, n), (ood mean, std, n)) -> repr of (drop, lo, hi): the reference rows of test_stats.py
+DROP_CI = {
+    ((0.794, 0.336, 195), (0.133, 0.135, 5)): "(0.661, 0.5336157737575621, 0.788384226242438)",
+    ((0.546, 0.408, 195), (0.307, 0.328, 5)): "(0.23900000000000005, -0.05415246041292887, 0.532152460412929)",
+}
+# clip -> repr of (lo, hi) of ci_normal(SummaryStats(0.05, 0.4, 5), clip=clip)
+CI_NORMAL = {False: "(-0.30061545887196706, 0.40061545887196703)", True: "(0.0, 0.40061545887196703)"}
 CASES = sorted((name, parallelism) for name, golden in GOLDEN.items() for parallelism in golden[3])
 
 
@@ -113,3 +125,15 @@ def test_t_test_pins():
     paired = paired_t(zip(SAMPLE_A, SAMPLE_C))
     assert repr((welch.statistic, welch.dof, welch.p_value)) == WELCH_T
     assert repr((paired.statistic, paired.dof, paired.p_value)) == PAIRED_T
+
+
+def test_interval_pins():
+    ci = bootstrap_ci(SAMPLE_A, resamples=2000, seed=7)
+    assert repr((ci.lo, ci.hi)) == BOOTSTRAP_CI
+    drops = {}
+    for id_row, ood_row in DROP_CI:
+        drop, ci = drop_ci(SummaryStats(*id_row), SummaryStats(*ood_row))
+        drops[id_row, ood_row] = repr((drop, ci.lo, ci.hi))
+    assert drops == DROP_CI
+    cis = {clip: ci_normal(SummaryStats(0.05, 0.4, 5), clip=clip) for clip in CI_NORMAL}
+    assert {clip: repr((ci.lo, ci.hi)) for clip, ci in cis.items()} == CI_NORMAL

@@ -442,15 +442,18 @@ class TestRunExperiment:
 
 def write_synthetic_run(run_dir: Path, protocol: str, agent_successes: dict[str, list[float]],
                         failed: dict[str, int] | None = None) -> None:
-    """A minimal on-disk run: enough manifest to classify, one record per success, and ``failed``
-    cells per agent in the seed table only."""
+    """A minimal on-disk run: enough manifest to classify, one record and ``ok`` seed-table entry per
+    success, and ``failed`` cells per agent in the seed table only, at episode indices after its records."""
     run_dir.mkdir(parents=True)
+    cells = [(agent, i, "ok") for agent, successes in agent_successes.items() for i in range(len(successes))]
+    cells += [(agent, len(agent_successes[agent]) + i, "failed: boom")
+              for agent, n in (failed or {}).items() for i in range(n)]
     manifest = {
         "name": run_dir.name,
         "config": {},
         "split": {"spec": {"protocol": protocol}},
-        "seed_table": [{"agent": agent, "task_index": 0, "episode_index": i, "seed": 0, "status": "failed: boom"}
-                       for agent, n in (failed or {}).items() for i in range(n)],
+        "seed_table": [{"agent": agent, "task_index": 0, "episode_index": i, "seed": 0, "status": status}
+                       for agent, i, status in cells],
         "artifact_version": "0",
         "started_at": "",
         "finished_at": "",
@@ -834,9 +837,21 @@ class TestCli:
          r"config key manifest\.seed_table\[1\]\.status must be a string, got an integer"),
         ("manifest.json", lambda d: d["seed_table"][1].update(task_index="x"),
          r"config key manifest\.seed_table\[1\]\.task_index must be an integer, got a string"),
+        ("episodes.jsonl", lambda d: d.update(episode_index=0.0),
+         r"config key episode_index in .*episodes\.jsonl line 1 must be an integer, got a number"),
+        ("manifest.json", lambda d: d["seed_table"][1].update(episode_index=None),
+         r"config key manifest\.seed_table\[1\]\.episode_index must be an integer, got null"),
         ("manifest.json", lambda d: d["seed_table"][1].pop("status"),
          r"missing config key manifest\.seed_table\[1\]\.status"),
         ("episodes.jsonl", None, r"episodes\.jsonl line 1: Expecting ',' delimiter"),  # the line cut short
+        ("episodes.jsonl", "duplicate", r"episodes\.jsonl line 2 holds cell \('belief_mpc', 0, 0\), "
+                                        r"but the seed table's next ok cell is \('belief_mpc', 0, 1\)$"),
+        ("episodes.jsonl", "drop", r"episodes\.jsonl: no line for the seed table's ok cell \('random', 2, 2\)$"),
+        ("manifest.json", lambda d: d["seed_table"][0].update(status="failed: x"),
+         r"episodes\.jsonl line 1 holds cell \('belief_mpc', 0, 0\), "
+         r"but the seed table's next ok cell is \('belief_mpc', 0, 1\)$"),
+        ("episodes.jsonl", "append", r"episodes\.jsonl line 19 holds cell \('belief_mpc', 0, 0\), "
+                                     r"past the seed table's last ok cell$"),
         ("episodes.jsonl", "directory", r"episodes\.jsonl: cannot read: Is a directory"),
         ("episodes.jsonl", "binary", r"episodes\.jsonl: not UTF-8 text: byte 0"),
         ("manifest.json", "binary", r"manifest\.json: not UTF-8 text: byte 0"),
@@ -851,6 +866,9 @@ class TestCli:
             path.mkdir()
         elif edit == "binary":
             path.write_bytes(b"\xff" + path.read_bytes())
+        elif edit in ("duplicate", "drop", "append"):
+            kept = {"duplicate": lines[:1] + lines, "drop": lines[:-1], "append": lines + lines[:1]}[edit]
+            path.write_text("\n".join(kept) + "\n")
         else:
             if edit is not None:
                 data = json.loads(lines[0] if name == "episodes.jsonl" else "\n".join(lines))

@@ -95,10 +95,10 @@ HEAVY = ("numpy", "rulebench.ca", "rulebench.agents", "rulebench.env", "rulebenc
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def heavy_modules_after(code: str) -> list[str]:
-    """The modules of ``HEAVY`` that a fresh interpreter holds after running ``code``."""
+def heavy_modules_after(code: str, modules=HEAVY) -> list[str]:
+    """The ``modules`` (by default ``HEAVY``) that a fresh interpreter holds after running ``code``."""
     path = [str(Path(rulebench.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH", "")]
-    check = f"{code}\nimport sys\nprint('loaded:', *[m for m in {HEAVY!r} if m in sys.modules])\n"
+    check = f"{code}\nimport sys\nprint('loaded:', *[m for m in {modules!r} if m in sys.modules])\n"
     done = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
     assert done.returncode == 0, done.stderr
@@ -117,3 +117,9 @@ def test_report_loads_no_numpy_or_run_machinery(tmp_path):
     assert main(["run", str(CONFIGS / "smoke.json"), "--output-dir", str(run_dir)]) == 0
     code = f"from rulebench.cli import main\nassert main(['report', {str(run_dir)!r}, '--mode', 'ood']) == 0"
     assert heavy_modules_after(code) == []
+
+
+def test_verify_theory_loads_no_run_machinery():
+    code = "from rulebench.cli import main\nassert main(['verify-theory', '--trials', '1']) == 0"
+    run_machinery = ("rulebench.harness", "rulebench.agents", "rulebench.splits", "rulebench.report")
+    assert heavy_modules_after(code, run_machinery) == []
