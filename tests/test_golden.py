@@ -7,7 +7,10 @@ in a process pool whatever the host's CPU count, so the digests also pin
 the pool's output order. The short runs cover few decisions, so desk and
 default are also pinned at full size, where one changed tie among
 thousands of decisions shows. Full default, the slowest test of the suite,
-runs at parallelism 2 only.
+runs at parallelism 2 only. The bulk benchmark workload's shape (``id``
+protocol, 12-cell tapes, ``random``, ``tabular_q`` and a bridge serving
+``random`` from a child process) is pinned at a few episodes per task, as
+the only golden run of the bridge and of ``tabular_q`` on 12-cell tapes.
 
 The report of the desk run and the theory check's largest deviation are
 pinned too, so that a change to reporting or to the belief layer shows in
@@ -21,20 +24,33 @@ rows, and a normal interval with and without clipping.
 
 import dataclasses
 import hashlib
+import sys
 from pathlib import Path
 
 import pytest
 
 from rulebench import run_experiment
 from rulebench.belief import verify_theory
-from rulebench.harness import load_config
+from rulebench.codec import from_json
+from rulebench.harness import ExperimentConfig, load_config
 from rulebench.report import render_report
 from rulebench.stats import (SummaryStats, bootstrap_ci, ci_normal, drop_ci, paired_t, regularized_incomplete_beta,
                              student_t_cdf, welch_t)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# perfbench/workloads.py's bulk config at its pinned seed, with 3 episodes per task instead of 32
+BULK = {
+    "name": "bulk",
+    "split": {"protocol": "id", "candidate_rules": [30, 54, 60, 90, 105, 110, 122, 126], "split_seed": 3,
+              "n_train_tasks": 8, "n_test_tasks": 8, "train_lengths": [12], "test_lengths": [12], "horizon": 32},
+    "agents": [{"kind": "random"}, {"kind": "tabular_q"},
+               {"kind": "bridge", "bridge_command": [sys.executable, "-m", "rulebench.cli", "bridge-serve", "random"]}],
+    "episodes_per_task": 3,
+    "base_seed": 2024,
+    "output_dir": "",
+}
 
-# name -> (config file, field overrides, digest of episodes.jsonl, parallelisms)
+# name -> (config file or config, field overrides, digest of episodes.jsonl, parallelisms)
 GOLDEN = {
     "smoke": ("smoke.json", {}, "0b88bc4f00e0dfd73d4b114ac1be171cb5f94448b46ec0a3deb9c695c6c4e8a7", (1, 2)),
     # desk at 5 episodes per task: the shape and digest the desk benchmark workload pins
@@ -45,6 +61,7 @@ GOLDEN = {
                 "d04cac0a64a168345b0d9c9d4ea8009ccca564c68fec664819058d8467939cdd", (1, 2)),
     "desk-full": ("desk.json", {}, "0d586b30faa3c83f4a369311e7021b5cf8febfec94232af88d0e392d2364722e", (1, 2)),
     "default-full": ("default.json", {}, "50b6a7f39d05509a16f4d904595d8783bf12abab490741feacdb5a2d47ed269c", (2,)),
+    "bulk": (BULK, {}, "fed22b3cdf2a70ed9ef136424541010306dd41c563b92a08fd31c9366b5fae77", (1, 2)),
 }
 # fmt -> digest of render_report(<the desk golden run>, "ood", fmt)'s text
 REPORT_DIGESTS = {
@@ -83,23 +100,24 @@ CI_NORMAL = {False: "(-0.30061545887196706, 0.40061545887196703)", True: "(0.0, 
 CASES = sorted((name, parallelism) for name, golden in GOLDEN.items() for parallelism in golden[3])
 
 
+def golden_config(name: str, output_dir, parallelism: int) -> ExperimentConfig:
+    source, overrides, _, _ = GOLDEN[name]
+    config = load_config(CONFIGS / source) if isinstance(source, str) else from_json(ExperimentConfig, source)
+    return dataclasses.replace(config, output_dir=str(output_dir), parallelism=parallelism, **overrides)
+
+
 @pytest.mark.parametrize("name,parallelism", CASES)
 def test_episode_log_digest(name, parallelism, tmp_path, pools):
-    filename, overrides, digest, _ = GOLDEN[name]
-    config = dataclasses.replace(load_config(CONFIGS / filename), output_dir=str(tmp_path),
-                                 parallelism=parallelism, **overrides)
+    config = golden_config(name, tmp_path, parallelism)
     run_experiment(config)
-    assert hashlib.sha256((tmp_path / "episodes.jsonl").read_bytes()).hexdigest() == digest
-    workers = min(parallelism, len(config.agents))  # smoke has one agent, desk six, default five
+    assert hashlib.sha256((tmp_path / "episodes.jsonl").read_bytes()).hexdigest() == GOLDEN[name][2]
+    workers = min(parallelism, len(config.agents))  # smoke has one agent, desk six, default five, bulk three
     assert pools == ([workers] if workers > 1 else [])
 
 
 def test_report_digests(tmp_path):
-    filename, overrides, digest, _ = GOLDEN["desk"]
-    config = dataclasses.replace(load_config(CONFIGS / filename), output_dir=str(tmp_path),
-                                 parallelism=1, **overrides)
-    run_experiment(config)
-    assert hashlib.sha256((tmp_path / "episodes.jsonl").read_bytes()).hexdigest() == digest
+    run_experiment(golden_config("desk", tmp_path, 1))
+    assert hashlib.sha256((tmp_path / "episodes.jsonl").read_bytes()).hexdigest() == GOLDEN["desk"][2]
     for fmt, report_digest in REPORT_DIGESTS.items():
         text, warnings = render_report(tmp_path, "ood", fmt)
         assert warnings == []
