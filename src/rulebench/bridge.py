@@ -24,10 +24,13 @@ and aborts the episode in progress. The driver reads each reply from the
 child's pipe under a deadline (``select``, so POSIX only); a reply that is
 not a complete line by then, or that lacks ``"v": 1``, fails the episode.
 
-Both ends write messages with sorted keys and no spaces. The driver finds an
-``act`` reply in that form in a per-tape-length table of the L+1 such lines,
-built by parsing and decoding each; a reply in any other valid JSON form is
-parsed and decoded as it arrives, so external agents need not match it.
+Both ends write messages in the codec's canonical form: sorted keys, no
+spaces. The driver formats each ``step`` request directly, one f-string per
+step, and the tests hold its bytes equal to the canonical form's. It finds
+an ``act`` reply in that form in a per-tape-length table of the L+1 such
+lines, built by parsing and decoding each; a reply in any other valid JSON
+form is parsed and decoded as it arrives, so external agents need not match
+it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Any, IO, Mapping
 
 from .agents import Agent, AgentConfig
 from .ca import Tape
-from .codec import from_json, to_json
+from .codec import canonical, from_json, to_json
 from .env import Action, TaskSpec
 from .errors import AgentError, ConfigError
 
@@ -54,9 +57,8 @@ PROTOCOL_VERSION = 1
 
 
 def _line(kind: str, **fields: Any) -> str:
-    """One protocol message of type ``kind`` as its line; sorted keys fix its bytes."""
-    message = {"v": PROTOCOL_VERSION, "type": kind, **fields}
-    return json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n"
+    """One protocol message of type ``kind`` as its line, in canonical form."""
+    return canonical({"v": PROTOCOL_VERSION, "type": kind, **fields}) + "\n"
 
 
 def _write(out: IO[str], line: str) -> None:
@@ -162,8 +164,11 @@ class BridgeAgent(Agent):
         self._response(expect="hello")
 
     def _request(self, kind: str, **fields: Any) -> None:
+        self._send(_line(kind, **fields))
+
+    def _send(self, line: str) -> None:
         try:
-            _write(self._proc.stdin, _line(kind, **fields))
+            _write(self._proc.stdin, line)
         except OSError as exc:
             self._fail(f"process write failed: {exc}")
 
@@ -221,7 +226,10 @@ class BridgeAgent(Agent):
         return action
 
     def observe(self, state: Tape, action: Action, reward: float, next_state: Tape, done: bool) -> None:
-        self._request("step", obs=str(next_state), reward=reward, done=done)
+        # _line("step", obs=str(next_state), reward=reward, done=done), formatted directly: a tape's
+        # text needs no escaping, and json writes a float (np.float64 too) by float.__repr__.
+        self._send(f'{{"done":{"true" if done else "false"},"obs":"{next_state}",'
+                   f'"reward":{float.__repr__(reward)},"type":"step","v":{PROTOCOL_VERSION}}}\n')
         reply = self._response(expect="act", decode=not done)
         if not done:
             self._pending = reply

@@ -15,6 +15,12 @@ be >= 1``, ``obs: tape length must be ...``).
 Plans are built once per type. Text that is not JSON, or a file that cannot
 be read as UTF-8 text, is a ``ConfigError`` that names where it came from (a
 file, or a file's line).
+
+:func:`canonical` is the one text form of the episode log's lines and the
+bridge's messages: sorted keys, no spaces. The two per-step writers, a log
+line in :mod:`rulebench.harness` and a ``step`` request in
+:mod:`rulebench.bridge`, format that text directly, and the tests hold
+their bytes equal to :func:`canonical`'s.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Any, Callable
 
 from .errors import ConfigError, DomainError
 
-__all__ = ["from_json", "parse_json", "read_json", "read_text", "to_json"]
+__all__ = ["canonical", "from_json", "parse_json", "read_json", "read_text", "to_json"]
 
 _JSON_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
                list: "an array", tuple: "an array", dict: "an object", type(None): "null"}
@@ -42,6 +48,11 @@ def to_json(obj: Any) -> Any:
     """The JSON form of ``obj``: dicts, lists, strings, numbers and booleans."""
     encode = _encoder(type(obj))
     return obj if encode is None else encode(obj)
+
+
+def canonical(obj: Any) -> str:
+    """The canonical JSON text of ``obj``'s JSON form: sorted keys, no spaces."""
+    return json.dumps(to_json(obj), sort_keys=True, separators=(",", ":"))
 
 
 def from_json(tp: Any, data: Any, path: str = "") -> Any:

@@ -14,6 +14,7 @@ the initial tape comes from a PCG64 stream seeded by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -73,7 +74,17 @@ class Action:
 
     @classmethod
     def from_order_index(cls, i: int, length: int) -> "Action":
+        """The action of order index ``i``: for an ``int`` ``0 <= i <= length <= ca.MAX_LENGTH``, one
+        instance shared by every call, so that an agent's decision builds no action."""
+        if type(i) is int and 0 <= i <= length <= ca.MAX_LENGTH:
+            return _in_order(length)[i]
         return cls.no_op() if i == length else cls.flip(i)
+
+
+@functools.cache
+def _in_order(length: int) -> tuple[Action, ...]:
+    """The ``length + 1`` actions on a tape of ``length`` cells, by order index."""
+    return (*map(Action.flip, range(length)), Action.no_op())
 
 
 @dataclass(frozen=True)

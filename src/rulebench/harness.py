@@ -40,7 +40,11 @@ the two renames can leave a new log beside the previous manifest:
 
 * ``episodes.jsonl`` — one JSON record per episode (the episode's fields plus
   its ``task_index``/``episode_index`` coordinates), in (agent, task index,
-  episode index) order, compact separators, sorted keys.
+  episode index) order, in the codec's canonical form (sorted keys, no
+  spaces). ``_log_line`` formats each line directly from pieces the codec
+  makes once (a task's JSON per task, an action's per tape length) and each
+  tape's text, computed once; the tests hold every line byte-equal to the
+  canonical form of ``EpisodeResult.to_record`` plus the coordinates.
 * ``manifest.json`` — config snapshot, split manifest, the full per-cell seed
   table with per-cell status, package version, and timestamps.
 
@@ -54,18 +58,20 @@ protocols take away from them.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from contextlib import closing
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 from . import __version__
 from .agents import MAX_Q_LENGTH, AgentConfig, make_agent
-from .codec import from_json, read_json, to_json
-from .env import run_episode
+from .codec import canonical, from_json, read_json, to_json
+from .env import Action, EpisodeResult, run_episode
 from .errors import AgentError, ConfigError
 from .report import EPISODE_LOG, MANIFEST_FILE, RunManifest
 from .report import load_run, summary_report  # noqa: F401  (perfbench/probe.py calls them as harness.*)
@@ -111,6 +117,36 @@ def cell_seed(base_seed: int, agent_name: str, task_index: int, episode_index: i
     return derive_seed(base_seed, agent_name, task_index, episode_index)
 
 
+@functools.cache
+def _action_texts(length: int) -> Mapping[Action, str]:
+    """The canonical JSON of each of the ``length + 1`` actions on a tape of ``length`` cells."""
+    actions = (Action.from_order_index(i, length) for i in range(length + 1))
+    return MappingProxyType({action: canonical(action) for action in actions})
+
+
+def _log_line(result: EpisodeResult, task_text: str, task_index: int, episode_index: int) -> str:
+    """``result``'s log line: ``canonical(dict(result.to_record(), task_index=..., episode_index=...))``
+    and a newline, formatted directly; ``task_text`` is ``canonical(result.task)``.
+
+    Keys are written in sorted order. ``json`` writes a float by ``float.__repr__`` (``repr`` of an
+    ``np.float64`` differs), and a step's ``state`` is usually the previous step's ``next_state``,
+    whose text is reused.
+    """
+    actions = _action_texts(result.task.length)
+    steps = []
+    tape = text = None
+    for t in result.transitions:
+        if t.state is not tape:
+            text = str(t.state)
+        tape, after = t.next_state, str(t.next_state)
+        steps.append(f'{{"action":{actions[t.action]},"next_state":"{after}","state":"{text}"}}')
+        text = after
+    return (f'{{"agent":{json.dumps(result.agent_id)},"episode_index":{episode_index},'
+            f'"episode_seed":{result.episode_seed},"return":{float.__repr__(result.ret)},'
+            f'"steps_used":{result.steps_used},"success":{float.__repr__(result.success)},'
+            f'"task":{task_text},"task_index":{task_index},"transitions":[{",".join(steps)}]}}\n')
+
+
 def _play(agent_cfg: AgentConfig, split: Split, base_seed: int, episodes_per_task: int):
     """Yield one agent config's cells, played in (task, episode) order, each as its episode ends.
 
@@ -121,6 +157,7 @@ def _play(agent_cfg: AgentConfig, split: Split, base_seed: int, episodes_per_tas
     agent = make_agent(agent_cfg, split.train_rules)
     try:
         for task_index, task in enumerate(split.test_tasks):
+            task_text = canonical(task)
             for episode_index in range(episodes_per_task):
                 seed = cell_seed(base_seed, agent_cfg.name, task_index, episode_index)
                 entry = {"agent": agent_cfg.name, "task_index": task_index, "episode_index": episode_index,
@@ -131,8 +168,7 @@ def _play(agent_cfg: AgentConfig, split: Split, base_seed: int, episodes_per_tas
                     entry["status"] = f"failed: {exc}"
                     yield None, entry
                 else:
-                    record = dict(result.to_record(), task_index=task_index, episode_index=episode_index)
-                    yield json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n", entry
+                    yield _log_line(result, task_text, task_index, episode_index), entry
     finally:
         agent.close()
 

@@ -6,6 +6,7 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from rulebench import AgentConfig, AgentError, ExperimentConfig, SplitSpec, TaskSpec, run_experiment
@@ -171,6 +172,57 @@ class TestBridgeFidelity:
             assert bridged._proc is proc
         finally:
             bridged.close()
+
+
+def recorded_writes(monkeypatch) -> list[str]:
+    """Every line the bridge writes from now on (in this process: the driver's requests)."""
+    written, write = [], bridge._write
+    monkeypatch.setattr(bridge, "_write", lambda out, line: written.append(line) or write(out, line))
+    return written
+
+
+class TestStepRequest:
+    """``BridgeAgent.observe`` formats its ``step`` request directly, in the bytes of ``_line``."""
+
+    def test_bulk_shaped_episodes_send_the_canonical_requests(self, monkeypatch):
+        written, observed, observe = recorded_writes(monkeypatch), [], BridgeAgent.observe
+
+        def recording_observe(self, state, action, reward, next_state, done):
+            observed.append((reward, next_state, done))
+            observe(self, state, action, reward, next_state, done)
+
+        monkeypatch.setattr(BridgeAgent, "observe", recording_observe)
+        agent = BridgeAgent(AgentConfig(kind="bridge", name="random", bridge_command=SERVE_RANDOM,
+                                        bridge_deadline=30.0))
+        try:
+            for seed in range(4):
+                run_episode(demo_task(length=12, horizon=32), agent, episode_seed=seed)
+        finally:
+            agent.close()
+        steps = [line for line in written if json.loads(line)["type"] == "step"]
+        assert steps == [_line("step", obs=str(obs), reward=reward, done=done) for reward, obs, done in observed]
+        assert {done for _, _, done in observed} == {False, True}
+        assert len({reward for reward, _, _ in observed}) > 3
+
+    def test_request_bytes_for_each_reward_form(self, monkeypatch):
+        written = recorded_writes(monkeypatch)
+        task = demo_task(length=12, horizon=32)
+        obs, next_obs = Tape.from_string("010011101001"), Tape.from_string("110010001011")
+        # (reward, done) per step: two episodes, each ending with a done step
+        episodes = [[(0.0, False), (1.0, False), (1 / 12, False), (np.float64(7 / 12), False), (0.1 + 0.2, True)],
+                    [(np.float64(1 / 12), False), (1.0, True)]]
+        agent = BridgeAgent(AgentConfig(kind="bridge", name="random", bridge_command=SERVE_RANDOM,
+                                        bridge_deadline=30.0))
+        expected = []
+        try:
+            for steps in episodes:
+                agent.begin_episode(task, obs, seed=0)
+                for reward, done in steps:
+                    agent.observe(obs, agent.act(obs), reward, next_obs, done)
+                    expected.append(_line("step", obs=str(next_obs), reward=reward, done=done))
+        finally:
+            agent.close()
+        assert [line for line in written if '"type":"step"' in line] == expected
 
 
 class TestBridgeFailures:

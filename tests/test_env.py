@@ -213,6 +213,26 @@ class TestTypes:
         assert to_json(action) == data
         assert from_json(Action, data) == action
 
+    @pytest.mark.parametrize("length", [3, 6, 12, 16, 64])
+    def test_order_index_actions_are_shared_within_a_length(self, length):
+        first = [Action.from_order_index(i, length) for i in range(length + 1)]
+        again = [Action.from_order_index(i, length) for i in range(length + 1)]
+        assert all(a is b for a, b in zip(first, again))
+        expected = [Action.flip(i) for i in range(length)] + [Action.no_op()]
+        assert first == expected
+        assert [hash(a) for a in first] == [hash(a) for a in expected]
+        assert [a.order_index(length) for a in first] == list(range(length + 1))
+
+    @pytest.mark.parametrize("length", [3, 12, 64, 65])
+    def test_order_index_outside_the_shared_range_behaves_as_before(self, length):
+        assert Action.from_order_index(length + 1, length) == Action.flip(length + 1)
+        with pytest.raises(DomainError, match="nonnegative index, got -1"):
+            Action.from_order_index(-1, length)
+        with pytest.raises(DomainError, match="nonnegative index"):
+            Action.from_order_index(np.int64(1), length)  # an integer, but not an int
+        assert Action.from_order_index(length, length) == Action.no_op()
+        assert Action.from_order_index(length - 1, length) == Action.flip(length - 1)
+
     def test_task_invariants(self):
         with pytest.raises(DomainError):
             TaskSpec(204, 5, 8, tape("0101"), 0)  # target length mismatch

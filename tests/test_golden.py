@@ -11,6 +11,8 @@ runs at parallelism 2 only. The bulk benchmark workload's shape (``id``
 protocol, 12-cell tapes, ``random``, ``tabular_q`` and a bridge serving
 ``random`` from a child process) is pinned at a few episodes per task, as
 the only golden run of the bridge and of ``tabular_q`` on 12-cell tapes.
+Every line of every golden run is also checked, where it is written, to
+equal ``json.dumps`` over its record, the form the log line writer skips.
 
 The report of the desk run and the theory check's largest deviation are
 pinned too, so that a change to reporting or to the belief layer shows in
@@ -24,12 +26,13 @@ rows, and a normal interval with and without clipping.
 
 import dataclasses
 import hashlib
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from rulebench import run_experiment
+from rulebench import harness, run_experiment
 from rulebench.belief import verify_theory
 from rulebench.codec import from_json
 from rulebench.harness import ExperimentConfig, load_config
@@ -107,12 +110,25 @@ def golden_config(name: str, output_dir, parallelism: int) -> ExperimentConfig:
 
 
 @pytest.mark.parametrize("name,parallelism", CASES)
-def test_episode_log_digest(name, parallelism, tmp_path, pools):
+def test_episode_log_digest(name, parallelism, tmp_path, pools, monkeypatch):
+    checked, log_line = [], harness._log_line
+
+    def checked_log_line(result, task_text, task_index, episode_index):  # runs in the pool's workers too
+        line = log_line(result, task_text, task_index, episode_index)
+        record = dict(result.to_record(), task_index=task_index, episode_index=episode_index)
+        assert line == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        checked.append(line)
+        return line
+
+    monkeypatch.setattr(harness, "_log_line", checked_log_line)
     config = golden_config(name, tmp_path, parallelism)
     run_experiment(config)
-    assert hashlib.sha256((tmp_path / "episodes.jsonl").read_bytes()).hexdigest() == GOLDEN[name][2]
+    log = (tmp_path / "episodes.jsonl").read_bytes()
+    assert hashlib.sha256(log).hexdigest() == GOLDEN[name][2]
     workers = min(parallelism, len(config.agents))  # smoke has one agent, desk six, default five, bulk three
     assert pools == ([workers] if workers > 1 else [])
+    if workers == 1:  # a worker's list stays in the worker
+        assert "".join(checked).encode() == log
 
 
 def test_report_digests(tmp_path):

@@ -6,6 +6,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rulebench import (
@@ -19,8 +20,10 @@ from rulebench import (
 )
 from rulebench import harness
 from rulebench.agents import Agent, make_agent
+from rulebench.ca import Tape
 from rulebench.cli import main as cli_main
-from rulebench.codec import from_json, to_json
+from rulebench.codec import canonical, from_json, to_json
+from rulebench.env import Action, EpisodeResult, TaskSpec, Transition, env_step, make_target, reset
 from rulebench.harness import cell_seed, load_config
 from rulebench.report import load_run, render_report
 from rulebench.splits import save_split_manifest
@@ -438,6 +441,52 @@ class TestRunExperiment:
         started = time.monotonic()
         run_experiment(cfg)
         assert time.monotonic() - started < 5.0
+
+
+
+def canonical_line(result, task_index: int, episode_index: int) -> str:
+    """The reference form of a log line: the record's dict through ``json.dumps``."""
+    record = dict(result.to_record(), task_index=task_index, episode_index=episode_index)
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def synthetic_result(agent_id: str, actions, ret=None, chained: bool = True) -> EpisodeResult:
+    """An episode of ``actions`` on a 6-cell task; ``chained=False`` copies each step's state."""
+    task = TaskSpec(rule=110, length=6, horizon=8, target=make_target(110, 6, 5), task_seed=5)
+    state, transitions, total = reset(task, 3), [], 0.0
+    for action in actions:
+        next_state, reward, _ = env_step(state, action, task, len(transitions))
+        start = state if chained else Tape(state.bits, state.length)
+        transitions.append(Transition(start, action, next_state))
+        state, total = next_state, total + reward
+    return EpisodeResult(task=task, agent_id=agent_id, success=float(state == task.target),
+                         ret=total if ret is None else ret, steps_used=len(transitions),
+                         transitions=tuple(transitions), episode_seed=3)
+
+
+class TestLogLine:
+    """``_log_line`` writes the bytes of ``json.dumps`` over the record, which the codec defines."""
+
+    @pytest.mark.parametrize("agent_id", ['rand"om', "back\\slash", "ägent", "tab\there", "random"])
+    @pytest.mark.parametrize("actions", [
+        [Action.no_op()] * 8,
+        [Action.flip(2)],
+        [Action.no_op()],
+        [],
+        [Action.from_order_index(i % 7, 6) for i in range(8)],
+    ], ids=["no-ops", "one-flip", "one-no-op", "no-step", "every-action"])
+    def test_line_equals_the_canonical_record(self, agent_id, actions):
+        for result in (synthetic_result(agent_id, actions), synthetic_result(agent_id, actions, chained=False)):
+            line = harness._log_line(result, canonical(result.task), 4, 11)
+            assert line == canonical_line(result, 4, 11)
+            assert json.loads(line)["agent"] == agent_id
+
+    @pytest.mark.parametrize("ret", [0.1 + 0.2, 1 / 3, 0.0, 1e-20, 123456789.125, np.float64(0.1) + np.float64(0.2)])
+    def test_returns_are_written_as_json_writes_them(self, ret):
+        result = synthetic_result("random", [Action.flip(1), Action.no_op()], ret=ret)
+        line = harness._log_line(result, canonical(result.task), 0, 0)
+        assert line == canonical_line(result, 0, 0)
+        assert json.loads(line)["return"] == ret
 
 
 def write_synthetic_run(run_dir: Path, protocol: str, agent_successes: dict[str, list[float]],
