@@ -12,7 +12,8 @@ protocol, 12-cell tapes, ``random``, ``tabular_q`` and a bridge serving
 ``random`` from a child process) is pinned at a few episodes per task, as
 the only golden run of the bridge and of ``tabular_q`` on 12-cell tapes.
 Every line of every golden run is also checked, where it is written, to
-equal ``json.dumps`` over its record, the form the log line writer skips.
+equal ``json.dumps`` over its record dict, which the log line writer does
+not build.
 
 The report of the desk run and the theory check's largest deviation are
 pinned too, so that a change to reporting or to the belief layer shows in

@@ -443,7 +443,6 @@ class TestRunExperiment:
         assert time.monotonic() - started < 5.0
 
 
-
 def canonical_line(result, task_index: int, episode_index: int) -> str:
     """The reference form of a log line: the record's dict through ``json.dumps``."""
     record = dict(result.to_record(), task_index=task_index, episode_index=episode_index)
