@@ -9,13 +9,14 @@ choice exact. Score ties always break to the lowest action index, with
 ``no_op`` ordered after every flip.
 
 The belief planner keeps a version space, the hypothesis rules still
-consistent with every transition seen, and plans against the uniform mixture
-over them (the exact posterior); ``belief_mpc_ig`` adds an information-gain
-bonus for the first action of each candidate sequence. The fallback variant
-acts greedily on information gain while the live rules' entropy exceeds a
-threshold, and otherwise plans. If an observation rules out every live rule
-(the true rule is outside the hypothesis set), all hypothesis rules become
-live again: surprise makes the agent uncertain again, but cannot make it right.
+consistent with every transition seen (``belief.live_after``), and plans
+against the uniform mixture over them (the exact posterior);
+``belief_mpc_ig`` adds an information-gain bonus for the first action of
+each candidate sequence. The fallback variant acts greedily on information
+gain while the live rules' entropy exceeds a threshold, and otherwise plans.
+If an observation rules out every live rule (the true rule is outside the
+hypothesis set), all hypothesis rules become live again: surprise makes the
+agent uncertain again, but cannot make it right.
 
 Every agent draws randomness only from a per-episode PCG64 stream derived
 from the episode's cell seed, which hashes the agent's name; there is no
@@ -31,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # info_gain_entropy and posterior_update are not called here; perfbench/tracer.py looks them up in this module.
-from .belief import Belief, _predict, info_gain_entropy, info_gain_sweep, posterior_update, uniform_entropy  # noqa: F401
+from .belief import Belief, info_gain_entropy, info_gain_sweep, live_after, posterior_update, uniform_entropy  # noqa: F401
 from .ca import Tape, as_words, step_bits
-from .env import Action, TaskSpec, action_flips, intervene, match_fraction
+from .env import Action, TaskSpec, action_flips, match_fraction
 from .errors import ConfigError
 from .seeding import make_rng
 
@@ -236,9 +237,7 @@ class BeliefMpcAgent(_BuiltinAgent):
         return plan_mpc(self.live, weights, obs, self.task.target, self.cfg, self._rng, bonus)
 
     def observe(self, state: Tape, action: Action, reward: float, next_state: Tape, done: bool) -> None:
-        predicted = _predict(self.live, [intervene(state, action).bits], state.length)[:, 0].tolist()
-        live = tuple(rule for rule, bits in zip(self.live, predicted) if bits == next_state.bits)
-        self.live = live or self.rules
+        self.live = live_after(self.live, state, action, next_state) or self.rules
 
 
 class FallbackMpcAgent(BeliefMpcAgent):

@@ -18,8 +18,9 @@ Their agreement (to float noise) is a machine-checkable identity:
 random instances at scale.
 
 From a uniform prior, 0/1 likelihoods keep the posterior uniform over the
-rules still consistent with what was seen (a version space): belief agents
-keep just those live rules, and ``info_gain_sweep`` scores actions over them.
+rules still consistent with what was seen (a version space): ``live_after``
+conditions rules on a transition, belief agents keep the live rules it
+returns, and ``info_gain_sweep`` scores actions over them.
 
 Entropies and divergences are reported in bits. Beliefs are immutable;
 updates return new values.
@@ -48,6 +49,7 @@ __all__ = [
     "info_gain_kl",
     "info_gain_mi",
     "info_gain_sweep",
+    "live_after",
     "posterior_update",
     "uniform_entropy",
     "verify_theory",
@@ -106,15 +108,20 @@ def _predict(rules, inputs, length: int) -> np.ndarray:
     return ca.step_bits(ca.as_words(inputs)[None, :], length, ca.as_words(rules)[:, None])
 
 
+def live_after(rules, state: Tape, action: Action, next_state: Tape) -> tuple[int, ...]:
+    """The rules, in order, that step ``action`` at ``state`` to ``next_state``."""
+    predicted = _predict(rules, [intervene(state, action).bits], state.length)[:, 0].tolist()
+    return tuple(rule for rule, bits in zip(rules, predicted) if bits == next_state.bits)
+
+
 def posterior_update(belief: Belief, t: Transition) -> Belief:
     """Condition on one observed transition; support order is preserved.
 
     Raises :class:`InconsistentObservationError` when no supported rule
     predicts the observed next state.
     """
-    predicted = _predict(belief.support, [intervene(t.state, t.action).bits], t.state.length)[:, 0]
-    likelihood = (predicted == t.next_state.bits).astype(float)
-    unnormalized = belief.probs * likelihood
+    live = set(live_after(belief.support, t.state, t.action, t.next_state))
+    unnormalized = belief.probs * np.array([rule in live for rule in belief.support], dtype=float)
     total = float(unnormalized.sum())
     if total <= 0.0:
         raise InconsistentObservationError(

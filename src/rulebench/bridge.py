@@ -18,11 +18,12 @@ Protocol (version 1). Every message is one JSON object per line and carries
 actions are ``{"kind":"flip","index":i}`` or ``{"kind":"no_op"}``. ``reset``
 answers with the first action; each ``step`` answers with the action for the
 observation it delivers (the answer to a ``done`` step is a placeholder and
-is discarded). A malformed or version-mismatched line, or a missing or
-wrong-typed field, is answered with ``{"v":1,"type":"error","message":...}``
-and aborts the episode in progress. The driver reads each reply from the
-child's pipe under a deadline (``select``, so POSIX only); a reply that is
-not a complete line by then, or that lacks ``"v": 1``, fails the episode.
+is discarded). A malformed or version-mismatched line, a missing or
+wrong-typed field, or an ``obs`` whose length is not the task's, is answered
+with ``{"v":1,"type":"error","message":...}`` and aborts the episode in
+progress. The driver reads each reply from the child's pipe under a deadline
+(``select``, so POSIX only); a reply that is not a complete line by then, or
+that lacks ``"v": 1``, fails the episode.
 
 Both ends write messages in the codec's canonical form: sorted keys, no
 spaces. The driver formats each ``step`` request directly, one f-string per
@@ -115,12 +116,16 @@ def serve(agent: Agent, infile: IO[str] | None = None, outfile: IO[str] | None =
                 continue
             if kind == "reset":
                 task, obs, seed = _decode(message, task=TaskSpec, obs=Tape, seed=int)
+                if obs.length != task.length:
+                    raise ValueError(f"obs: tape length {obs.length} != task length {task.length}")
                 agent.begin_episode(task, obs, seed)
                 done = False
             elif kind == "step":
                 if episode is None:
                     raise ValueError("step before reset")
                 obs, reward, done = _decode(message, obs=Tape, reward=float, done=bool)
+                if obs.length != episode[0].length:
+                    raise ValueError(f"obs: tape length {obs.length} != episode tape length {episode[0].length}")
                 agent.observe(*episode, reward, obs, done)
             else:
                 raise ValueError(f"unknown request type {kind!r}")
@@ -160,11 +165,8 @@ class BridgeAgent(Agent):
         self.close()
         self._proc = subprocess.Popen(list(self.cfg.bridge_command), stdin=subprocess.PIPE,
                                       stdout=subprocess.PIPE, text=True)
-        self._request("hello")
+        self._send(_line("hello"))
         self._response(expect="hello")
-
-    def _request(self, kind: str, **fields: Any) -> None:
-        self._send(_line(kind, **fields))
 
     def _send(self, line: str) -> None:
         try:
@@ -195,7 +197,7 @@ class BridgeAgent(Agent):
         try:
             message = _parse(line, "response")
         except ValueError as exc:
-            self._request("error", message=str(exc))
+            self._send(_line("error", message=str(exc)))
             self._fail(str(exc))
         if message.get("type") == "error":
             self._fail(f"peer error: {message.get('message')}")
@@ -216,7 +218,7 @@ class BridgeAgent(Agent):
         self._ensure_process()
         self._pending = None
         self._replies = _act_table(task.length)
-        self._request("reset", task=to_json(task), obs=str(obs), seed=seed)
+        self._send(_line("reset", task=to_json(task), obs=str(obs), seed=seed))
         self._pending = self._response(expect="act")
 
     def act(self, obs: Tape) -> Action:

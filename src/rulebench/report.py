@@ -3,9 +3,10 @@
 ``rulebench report`` runs only this module, the codec and the statistics, so
 it loads neither numpy nor the run machinery. Every attempted cell counts: a
 cell whose seed-table ``status`` is not ``"ok"`` has no log line, so reports
-count it as success 0 for its agent (on both sides of a gap report), show
-each agent's count in a ``failed`` column, and warn about each agent that
-has any. An agent that fails on hard cells is not ranked on its easy ones.
+add a success-0 record of its agent, marked ``"failed"``, to its run's
+records (on both sides of a gap report), count the marks in a ``failed``
+column, and warn about each agent that has any. An agent that fails on hard
+cells is not ranked on its easy ones.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ _REPORT_CELL_KEYS = {"agent": str, "status": str, "task_index": int, "episode_in
 def load_run(run_dir) -> tuple[RunManifest, list[dict[str, Any]]]:
     """A run's manifest and log records, refused with a :class:`ConfigError` naming the file (and
     line) that is not JSON, or the first manifest field or record key that reports need and do not
-    find or find with the wrong type, or a ``success`` outside [0, 1], or the first line or cell
-    where the log's cells, in order, are not exactly the seed table's ``ok`` cells."""
+    find or find with the wrong type, or a ``success`` outside [0, 1], or a record's ``failed`` key,
+    or the first line or cell where the log's cells, in order, are not exactly the seed table's
+    ``ok`` cells."""
     run_dir = Path(run_dir)
     manifest = from_json(RunManifest, read_json(run_dir / MANIFEST_FILE), "manifest")
     spec = manifest.split.get("spec")
@@ -72,6 +74,8 @@ def load_run(run_dir) -> tuple[RunManifest, list[dict[str, Any]]]:
             from_json(tp, record[key], f"{key} in {where}")
         if not 0.0 <= record["success"] <= 1.0:
             raise ConfigError(f"config key success in {where} must be in [0, 1], got {record['success']!r}")
+        if "failed" in record:  # the mark of a failed cell's record, which has no log line
+            raise ConfigError(f"{where} holds the key failed, which marks a failed cell")
         cell = (record["agent"], record["task_index"], record["episode_index"])
         expected = cells[len(records)] if len(records) < len(cells) else None
         if cell != expected:
@@ -84,26 +88,22 @@ def load_run(run_dir) -> tuple[RunManifest, list[dict[str, Any]]]:
 
 
 def _failed_cells(manifest: RunManifest) -> list[dict[str, Any]]:
-    """A success-0 record for each cell of the run whose status is not ``ok``."""
-    return [{"agent": entry["agent"], "success": 0.0, "task_index": entry["task_index"]}
+    """A success-0 record, marked ``"failed": True``, for each cell of the run whose status is not ``ok``."""
+    return [{"agent": entry["agent"], "success": 0.0, "task_index": entry["task_index"], "failed": True}
             for entry in manifest.seed_table if entry["status"] != "ok"]
 
 
-def _failed_warnings(failed, where: str = "") -> list[str]:
-    counts = Counter(cell["agent"] for cell in failed)
+def _failed_warnings(records, where: str = "") -> list[str]:
+    counts = Counter(record["agent"] for record in records if record.get("failed"))
     return [f"agent {agent!r}: {n} failed cell(s){where} counted as success 0" for agent, n in sorted(counts.items())]
 
 
 # --- reports ----------------------------------------------------------------
 
-def summary_report(records, failed=()) -> list[tuple[str, SummaryStats, int, Interval]]:
-    """Per-agent (agent, success summary, failed cells, clipped 95% interval), best agent first.
-
-    ``failed`` holds a success-0 record for each failed cell; the summary counts them with ``records``.
-    """
-    counts = Counter(cell["agent"] for cell in failed)
-    return [(agent, stats, counts[agent], ci_normal(stats, clip=True))
-            for agent, stats in summarize([*records, *failed])]
+def summary_report(records) -> list[tuple[str, SummaryStats, int, Interval]]:
+    """Per-agent (agent, success summary, records marked ``"failed"``, clipped 95% interval), best agent first."""
+    counts = Counter(record["agent"] for record in records if record.get("failed"))
+    return [(agent, stats, counts[agent], ci_normal(stats, clip=True)) for agent, stats in summarize(records)]
 
 
 def gap_report(id_records, ood_records) -> tuple[list[tuple[str, float, float, float, Interval]], list[str]]:
@@ -155,31 +155,30 @@ def render_report(log_dir, mode: str, fmt: str = "text") -> tuple[str, list[str]
         return table([], fmt), [f"no runs found under {log_dir}"]
 
     warnings: list[str] = []
-    # each side's (run directory names, records, failed cells)
-    sides = {"id": ([], [], []), "ood": ([], [], [])} if mode == "gap" else {mode: ([], [], [])}
+    # each side's (run directory names, records with its failed cells)
+    sides = {"id": ([], []), "ood": ([], [])} if mode == "gap" else {mode: ([], [])}
     for name, manifest, rows in runs:
         protocol = manifest.split["spec"]["protocol"]
         side = "id" if protocol == "id" else "ood"
         if side not in sides:
             warnings.append(f"run {manifest.name!r} has protocol {protocol!r} in an {mode} report")
             side = mode
-        names, records, failed = sides[side]
+        names, records = sides[side]
         names.append(name)
-        records.extend(rows)
-        failed.extend(_failed_cells(manifest))
-    for side, (names, _, _) in sides.items():
+        records += rows + _failed_cells(manifest)
+    for side, (names, _) in sides.items():
         if len(names) > 1:
             warnings.append(f"the {side} side pools {len(names)} runs: {', '.join(map(repr, names))}")
     if mode != "gap":
-        _, records, failed = sides[mode]
-        if not records:
+        _, records = sides[mode]
+        if all(record.get("failed") for record in records):
             warnings.append("no episode records found")
-        return table(summary_report(records, failed), fmt), warnings + _failed_warnings(failed)
+        return table(summary_report(records), fmt), warnings + _failed_warnings(records)
 
     for side, what in (("id", "in-distribution"), ("ood", "holdout")):
-        _, records, failed = sides[side]
-        if not records and not failed:
+        _, records = sides[side]
+        if not records:
             warnings.append(f"no {what} run found for the gap report")
-        warnings += _failed_warnings(failed, f" in the {side} runs")
-    rows, gap_warnings = gap_report(*(records + failed for _, records, failed in sides.values()))
+        warnings += _failed_warnings(records, f" in the {side} runs")
+    rows, gap_warnings = gap_report(*(records for _, records in sides.values()))
     return table(rows, fmt), warnings + gap_warnings

@@ -14,7 +14,7 @@ from rulebench import (
     info_gain_mi,
     posterior_update,
 )
-from rulebench.belief import info_gain_sweep, uniform_entropy
+from rulebench.belief import info_gain_sweep, live_after, uniform_entropy
 
 from oracles import (
     brute_consistent_rules,
@@ -86,6 +86,24 @@ class TestPosteriorUpdate:
             for rule in support:
                 expected = 1.0 / len(consistent) if rule in consistent else 0.0
                 assert belief.prob_of(rule) == pytest.approx(expected, abs=1e-12)
+
+
+class TestLiveAfter:
+    def test_matches_oracle_in_support_order(self):
+        """The stepped-by rules, in order, for every action; a next tape from any rule, so sometimes none is live."""
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            length = int(rng.integers(3, 9))
+            support = tuple(int(r) for r in rng.choice(256, size=int(rng.integers(3, 13)), replace=False))
+            cells = [int(b) for b in rng.integers(0, 2, size=length)]
+            for a in range(length + 1):
+                rules = support if rng.random() < 0.5 else range(256)
+                true_rule = rules[int(rng.integers(0, len(rules)))]
+                nxt = brute_step(cells if a == length else cells[:a] + [1 - cells[a]] + cells[a + 1:], true_rule)
+                live = live_after(support, Tape.from_cells(cells), Action.from_order_index(a, length),
+                                  Tape.from_cells(nxt))
+                consistent = brute_consistent_rules(support, [(cells, a, nxt)])
+                assert live == tuple(rule for rule in support if rule in consistent)
 
 
 class TestEntropy:

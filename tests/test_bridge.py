@@ -475,6 +475,18 @@ class TestServeLoop:
         assert [r["type"] for r in replies] == ["act", "error", "error"]
         assert "reset" in replies[2]["message"]  # episode state was dropped
 
+    @pytest.mark.parametrize("kind", ["random", "tabular_q", "belief_mpc"])
+    def test_obs_of_another_length_is_refused_and_drops_the_episode(self, kind):
+        agent = make_agent(AgentConfig(kind=kind, plan_horizon=2, rollout_budget=16), (90, 30))
+        reset = {"v": 1, "type": "reset", "task": to_json(demo_task(rule=90, length=8)), "obs": "01011010", "seed": 3}
+        step = {"v": 1, "type": "step", "obs": "11011010", "reward": 0.5, "done": False}
+        replies = drive_serve(agent, [dict(reset, obs="01011"), dict(step, obs="0101101"),
+                                      reset, dict(step, obs="0101101"), step, reset, step])
+        assert [r["type"] for r in replies] == ["error", "error", "act", "error", "error", "act", "act"]
+        assert [r["message"] for r in replies if r["type"] == "error"] == [
+            "obs: tape length 5 != task length 8", "step before reset",
+            "obs: tape length 7 != episode tape length 8", "step before reset"]
+
 
 class TestReplyTable:
     """Replies in bridge-serve's own form are found by lookup; every other form is parsed as before."""

@@ -565,6 +565,31 @@ class TestReports:
         assert warnings == ["agent 'a': 2 failed cell(s) in the id runs counted as success 0",
                             "agent 'a': 3 failed cell(s) in the ood runs counted as success 0"]
 
+    def test_a_run_whose_every_cell_failed_has_no_episode_records(self, tmp_path):
+        write_synthetic_run(tmp_path / "run", "id", {"a": []}, failed={"a": 2})
+        text, warnings = render_report(tmp_path / "run", "id", fmt="csv")
+        assert text.splitlines()[1:] == ["a,0.000,0.000,2,2,0.000,0.000"]
+        assert warnings == ["no episode records found", "agent 'a': 2 failed cell(s) counted as success 0"]
+
+    @pytest.mark.parametrize("protocol,warnings", [
+        ("id", ["no holdout run found for the gap report",
+                "agent 'a' missing from the ood logs; omitted from the gap table"]),
+        ("holdout_rule", ["no in-distribution run found for the gap report",
+                          "agent 'a' missing from the id logs; omitted from the gap table"]),
+    ], ids=["no-holdout", "no-id"])
+    def test_gap_report_warns_about_a_missing_side(self, tmp_path, protocol, warnings):
+        write_synthetic_run(tmp_path / "run", protocol, {"a": [1.0, 0.0]})
+        text, found = render_report(tmp_path, "gap")
+        assert len(text.splitlines()) == 1  # the header alone
+        assert found == warnings
+
+    def test_gap_side_of_only_failed_cells_is_found(self, tmp_path):
+        write_synthetic_run(tmp_path / "id_run", "id", {"a": [1.0, 1.0]})
+        write_synthetic_run(tmp_path / "ood_run", "holdout_rule", {"a": []}, failed={"a": 2})
+        text, warnings = render_report(tmp_path, "gap", fmt="csv")
+        assert text.splitlines()[1].startswith("a,1.000,0.000,1.000,")
+        assert warnings == ["agent 'a': 2 failed cell(s) in the ood runs counted as success 0"]
+
     def test_seed_table_entry_without_a_status_is_refused(self, tmp_path):
         write_synthetic_run(tmp_path / "run", "id", {"a": [1.0]}, failed={"a": 1})
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
@@ -716,6 +741,25 @@ class TestCli:
         save_split_manifest(corrupted, bad)
         assert cli_main(["verify-split", str(bad)]) == 1
         assert "violation" in capsys.readouterr().err
+
+    def test_verify_split_prints_each_violation(self, tmp_path, capsys):
+        # Under ``id`` every test rule must be a train task's rule; this spec draws two that are not.
+        spec = SplitSpec(protocol="id", candidate_rules=(30, 90, 110, 204), split_seed=1, n_train_tasks=2,
+                         n_test_tasks=4, train_lengths=(6,), test_lengths=(6,), horizon=8)
+        save_split_manifest(make_split(spec), tmp_path / "split.json")
+        assert cli_main(["verify-split", str(tmp_path / "split.json")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["violation: test rule 30 does not appear in the train rule set",
+                                    "violation: test rule 110 does not appear in the train rule set"]
+
+        cfg = dataclasses.replace(small_config(tmp_path / "out"), split=spec)
+        (tmp_path / "config.json").write_text(json.dumps(to_json(cfg)))
+        assert cli_main(["run", str(tmp_path / "config.json")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: split verification failed: test rule 30 does not appear in the train rule set; "
+            "test rule 110 does not appear in the train rule set"]
+        assert not (tmp_path / "out").exists()
 
     def test_run_refuses_corrupted_split_manifest(self, tmp_path, capsys):
         config_path = self.write_config(tmp_path)
@@ -871,6 +915,8 @@ class TestCli:
          r"config key success in .*episodes\.jsonl line 1 must be in \[0, 1\], got 7\.5"),
         ("episodes.jsonl", lambda d: d.update(success=-1),
          r"config key success in .*episodes\.jsonl line 1 must be in \[0, 1\], got -1$"),
+        ("episodes.jsonl", lambda d: d.update(failed=True),
+         r"episodes\.jsonl line 1 holds the key failed, which marks a failed cell$"),
         ("episodes.jsonl", lambda d: d.update(success=True),
          r"config key success in .*episodes\.jsonl line 1 must be a number, got a boolean"),
         ("episodes.jsonl", lambda d: d.update(agent=5),

@@ -74,6 +74,7 @@ def test_traced_signatures_and_fields():
     first_six = list(inspect.signature(agents.plan_mpc).parameters)[:6]  # the tracer reads cfg, weights and state
     assert first_six == ["rules", "weights", "state", "target", "cfg", "rng"]  # perfbench/micro.py passes them positionally
     assert list(inspect.signature(harness.run_episode).parameters)[2] == "episode_seed"  # read positionally
+    inspect.signature(harness.summary_report).bind([])  # perfbench/probe.py passes the records alone
     fields = {f.name for f in dataclasses.fields(agents.AgentConfig)}
     assert {"plan_horizon", "rollout_budget", "mixture_rules", "exact_mixture"} <= fields
     assert {"agent_id", "steps_used"} <= {f.name for f in dataclasses.fields(env.EpisodeResult)}
