@@ -28,15 +28,14 @@ that lacks ``"v": 1``, fails the episode.
 Both ends write messages in the codec's canonical form: sorted keys, no
 spaces. The driver formats each ``step`` request directly, one f-string per
 step, and the tests hold its bytes equal to the canonical form's. It finds
-an ``act`` reply in that form in a per-tape-length table of the L+1 such
-lines, built by parsing and decoding each; a reply in any other valid JSON
+an ``act`` reply in that form in one table of the 65 lines ``serve`` writes,
+one per action whatever the tape length; a reply in any other valid JSON
 form is parsed and decoded as it arrives, so external agents need not match
-it.
+it. Both ends refuse a ``v`` other than the ``int`` 1, ``true`` and ``1.0`` too.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import select
@@ -44,12 +43,12 @@ import subprocess
 import sys
 import time
 from types import MappingProxyType
-from typing import Any, IO, Mapping
+from typing import Any, IO
 
 from .agents import Agent, AgentConfig
 from .ca import Tape
 from .codec import canonical, from_json, to_json
-from .env import Action, TaskSpec
+from .env import ACTIONS, Action, TaskSpec
 from .errors import AgentError, ConfigError
 
 __all__ = ["PROTOCOL_VERSION", "BridgeAgent", "serve"]
@@ -82,18 +81,9 @@ def _decode(message: dict[str, Any], **fields: Any) -> list[Any]:
     return [from_json(tp, message[key], key) for key, tp in fields.items()]
 
 
-@functools.cache
-def _act_lines(length: int) -> Mapping[Action, str]:
-    """The ``act`` line answering each of the ``length + 1`` actions on a tape of ``length`` cells."""
-    actions = (Action.from_order_index(i, length) for i in range(length + 1))
-    return MappingProxyType({action: _line("act", action=to_json(action)) for action in actions})
-
-
-@functools.cache
-def _act_table(length: int) -> Mapping[bytes, Action]:
-    """Each of ``_act_lines(length)``, without its newline, -> the action it parses and decodes to."""
-    return MappingProxyType({line[:-1].encode(): _decode(_parse(line, "response"), action=Action)[0]
-                             for line in _act_lines(length).values()})
+# The ``act`` line of each action, on a tape of any length, and its inverse (line sans newline -> action).
+_ACT_LINES = MappingProxyType({action: _line("act", action=to_json(action)) for action in ACTIONS})
+_ACT_TABLE = MappingProxyType({line[:-1].encode(): action for action, line in _ACT_LINES.items()})
 
 
 def serve(agent: Agent, infile: IO[str] | None = None, outfile: IO[str] | None = None) -> None:
@@ -107,9 +97,8 @@ def serve(agent: Agent, infile: IO[str] | None = None, outfile: IO[str] | None =
             continue
         try:
             message = _parse(line, "request")
-            if message.get("v") != PROTOCOL_VERSION:
-                raise ValueError(f"unsupported protocol version {message.get('v')!r}; "
-                                 f"this agent speaks {PROTOCOL_VERSION}")
+            if type(v := message.get("v")) is not int or v != PROTOCOL_VERSION:  # not true, not 1.0
+                raise ValueError(f"unsupported protocol version {v!r}; this agent speaks {PROTOCOL_VERSION}")
             kind = message.get("type")
             if kind == "hello":
                 _write(outfile, _line("hello", agent=agent.name))
@@ -131,7 +120,7 @@ def serve(agent: Agent, infile: IO[str] | None = None, outfile: IO[str] | None =
                 raise ValueError(f"unknown request type {kind!r}")
             action = Action.no_op() if done else agent.act(obs)
             episode = None if done else (obs, action)
-            _write(outfile, _act_lines(obs.length).get(action) or _line("act", action=to_json(action)))
+            _write(outfile, _ACT_LINES.get(action) or _line("act", action=to_json(action)))
         except Exception as exc:
             episode = None
             _write(outfile, _line("error", message=str(exc)))
@@ -153,7 +142,6 @@ class BridgeAgent(Agent):
         self._proc: subprocess.Popen | None = None
         self._unread = b""  # bytes read from the process past the last complete reply
         self._pending: Action | None = None
-        self._replies: Mapping[bytes, Action] = {}  # the act lines of the episode's tape length
 
     def _fail(self, message: str) -> None:
         self.close()
@@ -177,8 +165,8 @@ class BridgeAgent(Agent):
     def _response(self, expect: str, decode: bool = True) -> Any:
         """The next reply, read from the pipe for at most the time left before the deadline.
 
-        A ``hello`` reply gives the message, an ``act`` reply its Action: found in the episode's
-        table, else parsed, checked to carry ``"v": 1`` and decoded (``None`` if ``decode`` is false,
+        A ``hello`` reply gives the message, an ``act`` reply its Action: found in ``_ACT_TABLE``,
+        else parsed, checked to carry ``"v": 1`` and decoded (``None`` if ``decode`` is false,
         as for a done step's placeholder).
         """
         deadline = time.monotonic() + self.cfg.bridge_deadline
@@ -192,7 +180,7 @@ class BridgeAgent(Agent):
                 self._fail("process closed its output stream")
             self._unread += chunk
         line, _, self._unread = self._unread.partition(b"\n")
-        if expect == "act" and (action := self._replies.get(line)) is not None:
+        if expect == "act" and (action := _ACT_TABLE.get(line)) is not None:
             return action
         try:
             message = _parse(line, "response")
@@ -201,8 +189,8 @@ class BridgeAgent(Agent):
             self._fail(str(exc))
         if message.get("type") == "error":
             self._fail(f"peer error: {message.get('message')}")
-        if message.get("v") != PROTOCOL_VERSION:
-            self._fail(f"peer speaks protocol version {message.get('v')!r}, driver speaks {PROTOCOL_VERSION}")
+        if type(v := message.get("v")) is not int or v != PROTOCOL_VERSION:  # not true, not 1.0
+            self._fail(f"peer speaks protocol version {v!r}, driver speaks {PROTOCOL_VERSION}")
         if message.get("type") != expect:
             self._fail(f"expected {expect!r} response, got {message.get('type')!r}")
         if expect != "act":
@@ -217,7 +205,6 @@ class BridgeAgent(Agent):
     def begin_episode(self, task: TaskSpec, obs: Tape, seed: int) -> None:
         self._ensure_process()
         self._pending = None
-        self._replies = _act_table(task.length)
         self._send(_line("reset", task=to_json(task), obs=str(obs), seed=seed))
         self._pending = self._response(expect="act")
 

@@ -5,6 +5,7 @@ Each step the agent either flips one cell or does nothing; the rule then
 updates the whole tape. Reward is the fraction of cells matching the goal
 after the update; an episode succeeds when the updated tape equals the goal
 exactly. The rule is never part of the observation — the full tape is.
+An action does not depend on the tape length: ``ACTIONS`` holds each once.
 
 Episodes are deterministic functions of ``(task, agent, episode_seed)``:
 the initial tape comes from a PCG64 stream seeded by
@@ -14,7 +15,6 @@ the initial tape comes from a PCG64 stream seeded by
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -27,6 +27,7 @@ from .errors import AgentError, DomainError
 from .seeding import derive_seed, make_rng
 
 __all__ = [
+    "ACTIONS",
     "Action",
     "EpisodeResult",
     "TaskSpec",
@@ -74,17 +75,15 @@ class Action:
 
     @classmethod
     def from_order_index(cls, i: int, length: int) -> "Action":
-        """The action of order index ``i``: for an ``int`` ``0 <= i <= length <= ca.MAX_LENGTH``, one
-        instance shared by every call, so that an agent's decision builds no action."""
+        """The action of order index ``i``: for an ``int`` ``0 <= i <= length <= ca.MAX_LENGTH``, the
+        shared instance in :data:`ACTIONS`, so that an agent's decision builds no action."""
         if type(i) is int and 0 <= i <= length <= ca.MAX_LENGTH:
-            return _in_order(length)[i]
+            return ACTIONS[-1] if i == length else ACTIONS[i]
         return cls.no_op() if i == length else cls.flip(i)
 
 
-@functools.cache
-def _in_order(length: int) -> tuple[Action, ...]:
-    """The ``length + 1`` actions on a tape of ``length`` cells, by order index."""
-    return (*map(Action.flip, range(length)), Action.no_op())
+# Every action on a tape of any length, one instance each: flip(0) ... flip(MAX_LENGTH - 1), no_op.
+ACTIONS = (*map(Action.flip, range(ca.MAX_LENGTH)), Action.no_op())
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ the two renames can leave a new log beside the previous manifest:
   its ``task_index``/``episode_index`` coordinates), in (agent, task index,
   episode index) order, in the codec's canonical form (sorted keys, no
   spaces). ``_log_line`` formats each line directly from pieces the codec
-  makes once (a task's JSON per task, an action's per tape length) and each
+  makes once (a task's JSON per task, each action's at import) and each
   tape's text, computed once; the tests hold every line byte-equal to the
   canonical form of ``EpisodeResult.to_record`` plus the coordinates.
 * ``manifest.json`` — config snapshot, split manifest, the full per-cell seed
@@ -58,7 +58,6 @@ protocols take away from them.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 from contextlib import closing
@@ -66,12 +65,12 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any
 
 from . import __version__
 from .agents import MAX_Q_LENGTH, AgentConfig, make_agent
 from .codec import canonical, from_json, read_json, to_json
-from .env import Action, EpisodeResult, run_episode
+from .env import ACTIONS, EpisodeResult, run_episode
 from .errors import AgentError, ConfigError
 from .report import EPISODE_LOG, MANIFEST_FILE, RunManifest
 from .report import load_run, summary_report  # noqa: F401  (perfbench/probe.py calls them as harness.*)
@@ -117,11 +116,8 @@ def cell_seed(base_seed: int, agent_name: str, task_index: int, episode_index: i
     return derive_seed(base_seed, agent_name, task_index, episode_index)
 
 
-@functools.cache
-def _action_texts(length: int) -> Mapping[Action, str]:
-    """The canonical JSON of each of the ``length + 1`` actions on a tape of ``length`` cells."""
-    actions = (Action.from_order_index(i, length) for i in range(length + 1))
-    return MappingProxyType({action: canonical(action) for action in actions})
+# The canonical JSON of each action, on a tape of any length.
+_ACTION_TEXTS = MappingProxyType({action: canonical(action) for action in ACTIONS})
 
 
 def _log_line(result: EpisodeResult, task_text: str, task_index: int, episode_index: int) -> str:
@@ -132,14 +128,13 @@ def _log_line(result: EpisodeResult, task_text: str, task_index: int, episode_in
     ``np.float64`` differs), and a step's ``state`` is usually the previous step's ``next_state``,
     whose text is reused.
     """
-    actions = _action_texts(result.task.length)
     steps = []
     tape = text = None
     for t in result.transitions:
         if t.state is not tape:
             text = str(t.state)
         tape, after = t.next_state, str(t.next_state)
-        steps.append(f'{{"action":{actions[t.action]},"next_state":"{after}","state":"{text}"}}')
+        steps.append(f'{{"action":{_ACTION_TEXTS[t.action]},"next_state":"{after}","state":"{text}"}}')
         text = after
     return (f'{{"agent":{json.dumps(result.agent_id)},"episode_index":{episode_index},'
             f'"episode_seed":{result.episode_seed},"return":{float.__repr__(result.ret)},'

@@ -12,10 +12,11 @@ import pytest
 from rulebench import AgentConfig, AgentError, ExperimentConfig, SplitSpec, TaskSpec, run_experiment
 from rulebench.agents import Agent, make_agent
 from rulebench import bridge
-from rulebench.bridge import PROTOCOL_VERSION, BridgeAgent, _act_table, _decode, _line, _parse, serve
+from rulebench.bridge import (PROTOCOL_VERSION, BridgeAgent, _ACT_LINES, _ACT_TABLE, _decode, _line, _parse,
+                              serve)
 from rulebench.cli import main as cli_main
 from rulebench.codec import to_json
-from rulebench.env import Action, Tape, make_target, run_episode
+from rulebench.env import ACTIONS, Action, Tape, make_target, run_episode
 from rulebench.report import load_run
 from rulebench.seeding import derive_seed
 
@@ -249,12 +250,13 @@ class TestBridgeFailures:
         with pytest.raises(AgentError, match="version"):
             agent.begin_episode(demo_task(), Tape.from_string("010101"), seed=0)
 
-    def test_version_mismatch_after_the_handshake_closes_the_peer(self, monkeypatch):
+    @pytest.mark.parametrize("v,shown", [("2", "2"), ("true", "True"), ("1.0", "1.0")], ids=["2", "true", "1.0"])
+    def test_version_mismatch_after_the_handshake_closes_the_peer(self, monkeypatch, v, shown):
         started = recorded_processes(monkeypatch)
-        agent = BridgeAgent(AgentConfig(kind="bridge", name="drifting", bridge_deadline=5.0,
-                                        bridge_command=replying('{"v": 2, "type": "act", "action": {"kind": "no_op"}}')))
+        reply = f'{{"v": {v}, "type": "act", "action": {{"kind": "no_op"}}}}'  # true and 1.0 equal 1 in Python
+        agent = BridgeAgent(AgentConfig(kind="bridge", name="drifting", bridge_deadline=5.0, bridge_command=replying(reply)))
         try:
-            with pytest.raises(AgentError, match="peer speaks protocol version 2, driver speaks 1"):
+            with pytest.raises(AgentError, match=f"peer speaks protocol version {shown}, driver speaks 1"):
                 run_episode(demo_task(), agent, episode_seed=0)
             assert agent._proc is None
             (proc,) = started
@@ -449,6 +451,24 @@ class TestServeLoop:
         assert replies[0]["type"] == "error"
         assert "version" in replies[0]["message"]
 
+    @pytest.mark.parametrize("v,shown", [(True, "True"), (1.0, "1.0")])
+    def test_a_version_equal_to_1_but_not_the_int_is_refused(self, v, shown):
+        reset = {"v": 1, "type": "reset", "task": self.task_fields(), "obs": "0101", "seed": 3}
+        step = {"v": 1, "type": "step", "obs": "1101", "reward": 0.5, "done": False}
+        replies = drive_serve(_ScriptedAgent(), [{"v": v, "type": "hello"}, dict(reset, v=v), step])
+        assert replies == [{"v": 1, "type": "error", "message": f"unsupported protocol version {shown}; "
+                                                                 "this agent speaks 1"}] * 2 + [
+            {"v": 1, "type": "error", "message": "step before reset"}]
+
+    def test_an_action_outside_the_table_is_written_in_canonical_form(self):
+        agent = _ScriptedAgent()
+        agent.act = lambda obs: Action.flip(70)  # an action no tape can take, as a library agent may return
+        assert Action.flip(70) not in _ACT_LINES
+        stdout = io.StringIO()
+        serve(agent, io.StringIO(json.dumps({"v": 1, "type": "reset", "task": self.task_fields(), "obs": "0101",
+                                             "seed": 3}) + "\n"), stdout)
+        assert stdout.getvalue() == _line("act", action=to_json(Action.flip(70)))
+
     def test_malformed_line_answered_with_error(self):
         stdin = io.StringIO("this is not json\n")
         stdout = io.StringIO()
@@ -491,16 +511,13 @@ class TestServeLoop:
 class TestReplyTable:
     """Replies in bridge-serve's own form are found by lookup; every other form is parsed as before."""
 
-    @pytest.mark.parametrize("length", range(3, 17))
-    def test_each_entry_is_the_full_decode_of_its_line(self, length):
-        table = _act_table(length)
-        actions = [Action.from_order_index(i, length) for i in range(length + 1)]
-        assert list(table.values()) == actions
-        for action in actions:
+    def test_each_entry_is_the_full_decode_of_its_line(self):
+        assert list(_ACT_TABLE.values()) == list(ACTIONS) and len(ACTIONS) == 65
+        for action in ACTIONS:
             line = _line("act", action=to_json(action))
-            assert line.endswith("\n")
+            assert line.endswith("\n") and _ACT_LINES[action] == line
             key = line[:-1].encode()
-            assert table[key] == _decode(_parse(line, "response"), action=Action)[0] == action
+            assert _ACT_TABLE[key] == _decode(_parse(line, "response"), action=Action)[0] == action
 
     def test_every_reply_serve_writes_is_a_table_key(self):
         task = demo_task(length=12, horizon=32)
@@ -516,13 +533,12 @@ class TestReplyTable:
                   stdout)
             replies = stdout.getvalue().splitlines()
             assert len(replies) == len(requests)
-            assert all(line.encode() in _act_table(task.length) for line in replies)
-            played = [_act_table(task.length)[line.encode()] for line in replies[:-1]]
+            assert all(line.encode() in _ACT_TABLE for line in replies)
+            played = [_ACT_TABLE[line.encode()] for line in replies[:-1]]
             assert played == [t.action for t in episode.transitions]
 
     def test_driver_parses_only_the_handshake(self, monkeypatch):
         task = demo_task(length=12, horizon=32)
-        _act_table(task.length)  # built before counting: the build parses each of its lines
         parsed = count_parses(monkeypatch)
         agent = BridgeAgent(AgentConfig(kind="bridge", name="random", bridge_command=SERVE_RANDOM,
                                         bridge_deadline=30.0))
@@ -542,7 +558,7 @@ class TestReplyTable:
     def test_other_forms_are_parsed_to_equal_actions(self, monkeypatch, form):
         actions = [Action.from_order_index(i, 6) for i in range(7)]
         lines = [form(to_json(action)) for action in actions]
-        assert not {line.encode() for line in lines} & set(_act_table(6))
+        assert not {line.encode() for line in lines} & set(_ACT_TABLE)
         parsed = count_parses(monkeypatch)
         agent = BridgeAgent(AgentConfig(kind="bridge", name="spaced", bridge_command=replying(*lines),
                                         bridge_deadline=5.0))
@@ -558,14 +574,17 @@ class TestReplyTable:
         assert played == actions
         assert len(parsed) == 1 + len(actions)
 
-    @pytest.mark.parametrize("reply,message", [
-        ('{"action":{"index":6,"kind":"flip"},"type":"act","v":1}', "flip index 6 out of bounds for length 6"),
+    @pytest.mark.parametrize("reply,message,in_table", [
+        ('{"action":{"index":6,"kind":"flip"},"type":"act","v":1}', "flip index 6 out of bounds for length 6", True),
         ('{"action":{"index":true,"kind":"flip"},"type":"act","v":1}',
-         r"config key action\.index must be an integer, got a boolean"),
-        ('{"action":{"index":-1,"kind":"flip"},"type":"act","v":1}', "flip requires a nonnegative index, got -1"),
-        ('{"action":{"index":0,"kind":"no_op"},"type":"act","v":1}', "no_op takes no index"),
-    ])
-    def test_canonical_form_outside_the_table_fails_as_before(self, reply, message):
+         r"config key action\.index must be an integer, got a boolean", False),
+        ('{"action":{"index":-1,"kind":"flip"},"type":"act","v":1}', "flip requires a nonnegative index, got -1",
+         False),
+        ('{"action":{"index":0,"kind":"no_op"},"type":"act","v":1}', "no_op takes no index", False),
+    ], ids=["flip-past-the-tape-found-in-the-table", "bool-index-parsed", "negative-index-parsed",
+            "no-op-with-index-parsed"])
+    def test_canonical_reply_of_an_unplayable_action_fails_as_before(self, reply, message, in_table):
+        assert (reply.encode() in _ACT_TABLE) is in_table
         agent = BridgeAgent(AgentConfig(kind="bridge", name="off-table", bridge_command=replying(reply),
                                         bridge_deadline=5.0))
         try:

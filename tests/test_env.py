@@ -20,7 +20,7 @@ from rulebench import (
 from rulebench.agents import Agent, make_agent
 from rulebench.ca import as_words
 from rulebench.codec import from_json, to_json
-from rulebench.env import match_fraction
+from rulebench.env import ACTIONS, match_fraction
 from rulebench.seeding import derive_seed
 
 
@@ -222,6 +222,10 @@ class TestTypes:
         assert first == expected
         assert [hash(a) for a in first] == [hash(a) for a in expected]
         assert [a.order_index(length) for a in first] == list(range(length + 1))
+        # and across lengths: every length hands out the instances in ACTIONS
+        assert all(a is b for a, b in zip(first, (*ACTIONS[:length], ACTIONS[-1]), strict=True))
+        assert Action.from_order_index(3, 8) is Action.from_order_index(3, 12)
+        assert Action.from_order_index(8, 8) is Action.from_order_index(12, 12)
 
     @pytest.mark.parametrize("length", [3, 12, 64, 65])
     def test_order_index_outside_the_shared_range_behaves_as_before(self, length):
