@@ -14,6 +14,7 @@ from rulebench.agents import Agent, make_agent
 from rulebench import bridge
 from rulebench.bridge import (PROTOCOL_VERSION, BridgeAgent, _ACT_LINES, _ACT_TABLE, _decode, _line, _parse,
                               serve)
+from rulebench.ca import MAX_LENGTH
 from rulebench.cli import main as cli_main
 from rulebench.codec import to_json
 from rulebench.env import ACTIONS, Action, Tape, make_target, run_episode
@@ -511,9 +512,13 @@ class TestServeLoop:
 class TestReplyTable:
     """Replies in bridge-serve's own form are found by lookup; every other form is parsed as before."""
 
-    def test_each_entry_is_the_full_decode_of_its_line(self):
-        assert list(_ACT_TABLE.values()) == list(ACTIONS) and len(ACTIONS) == 65
-        for action in ACTIONS:
+    @pytest.mark.parametrize("length", [*range(3, 17), MAX_LENGTH])
+    def test_each_entry_is_the_full_decode_of_its_line(self, length):
+        assert list(_ACT_TABLE.values()) == list(ACTIONS) and len(ACTIONS) == MAX_LENGTH + 1 == 65
+        # The actions an episode of this length plays are table entries; at MAX_LENGTH they are all of them.
+        actions = [Action.from_order_index(i, length) for i in range(length + 1)]
+        assert actions == [*ACTIONS[:length], ACTIONS[-1]]
+        for action in actions:
             line = _line("act", action=to_json(action))
             assert line.endswith("\n") and _ACT_LINES[action] == line
             key = line[:-1].encode()
