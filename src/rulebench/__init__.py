@@ -23,7 +23,7 @@ _EXPORTS = {
     "errors": "AgentError ConfigError DomainError InconsistentObservationError",
     "harness": "ExperimentConfig run_experiment",
     "report": "RunManifest",
-    "seeding": "derive_seed make_rng",
+    "seeding": "ScalarPCG64 derive_seed make_rng make_scalar_rng",
     "splits": "Split SplitReport SplitSpec make_split verify_split",
     "stats": "Interval SummaryStats TestResult bootstrap_ci ci_normal drop_ci paired_t summarize welch_t",
 }

@@ -21,7 +21,8 @@ agent uncertain again, but cannot make it right.
 Every agent draws randomness only from a per-episode PCG64 stream derived
 from the episode's cell seed, which hashes the agent's name; there is no
 separate agent seed. An episode transcript is a pure function of (task,
-config, seed).
+config, seed). Only the planners (``PLANNER_KINDS``) draw from numpy's
+generator; the others draw the same streams in pure Python, without numpy.
 """
 
 from __future__ import annotations
@@ -29,14 +30,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 # info_gain_entropy and posterior_update are not called here; perfbench/tracer.py looks them up in this module.
 from .belief import Belief, info_gain_entropy, info_gain_sweep, live_after, posterior_update, uniform_entropy  # noqa: F401
 from .ca import Tape, as_words, step_bits
 from .env import Action, TaskSpec, action_flips, match_fraction
 from .errors import ConfigError
-from .seeding import make_rng
+from .seeding import make_rng, make_scalar_rng
 
 __all__ = [
     "Agent",
@@ -45,6 +44,7 @@ __all__ = [
     "BeliefMpcAgent",
     "FallbackMpcAgent",
     "OracleMpcAgent",
+    "PLANNER_KINDS",
     "RandomAgent",
     "TabularQAgent",
     "make_agent",
@@ -54,6 +54,7 @@ __all__ = [
 
 MAX_Q_LENGTH = 12  # tabular state index is the packed tape; beyond this the table leaves desk scale
 EXACT_MIXTURE_LIMIT = 16
+PLANNER_KINDS = ("oracle_mpc", "belief_mpc", "belief_mpc_ig", "fallback_mpc")  # the agents that draw arrays
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,8 @@ class _BuiltinAgent(Agent):
 
     def begin_episode(self, task: TaskSpec, obs: Tape, seed: int) -> None:
         self.task = task
-        self._rng = make_rng(seed, 0)  # the derivation every pinned log was recorded with
+        stream = make_rng if self.cfg.kind in PLANNER_KINDS else make_scalar_rng
+        self._rng = stream(seed, 0)  # the derivation every pinned log was recorded with
 
 
 def plan_mpc(
@@ -151,6 +153,7 @@ def plan_mpc(
     A sequence scores the weighted sum over rules of its per-step match
     fractions; the best score wins, ties to the lowest first action.
     """
+    import numpy as np
     length = state.length
     n_actions = length + 1
     rules = tuple(rules)
@@ -206,7 +209,7 @@ class OracleMpcAgent(_BuiltinAgent):
     """MPC planner given the task's true rule; isolates model error from planning error."""
 
     def act(self, obs: Tape) -> Action:
-        return plan_mpc((self.task.rule,), np.ones(1), obs, self.task.target, self.cfg, self._rng)
+        return plan_mpc((self.task.rule,), (1.0,), obs, self.task.target, self.cfg, self._rng)
 
 
 class BeliefMpcAgent(_BuiltinAgent):
@@ -233,7 +236,7 @@ class BeliefMpcAgent(_BuiltinAgent):
         bonus = None
         if self.cfg.kind == "belief_mpc_ig" and self.cfg.ig_weight > 0.0:
             bonus = [self.cfg.ig_weight * gain for gain in info_gain_sweep(self.live, obs)]
-        weights = np.full(len(self.live), 1.0 / len(self.live))
+        weights = [1.0 / len(self.live)] * len(self.live)
         return plan_mpc(self.live, weights, obs, self.task.target, self.cfg, self._rng, bonus)
 
     def observe(self, state: Tape, action: Action, reward: float, next_state: Tape, done: bool) -> None:

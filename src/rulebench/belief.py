@@ -23,7 +23,7 @@ conditions rules on a transition, belief agents keep the live rules it
 returns, and ``info_gain_sweep`` scores actions over them.
 
 Entropies and divergences are reported in bits. Beliefs are immutable;
-updates return new values.
+updates return new values. Each function that uses numpy imports it itself.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import ca
 from .ca import Tape
@@ -73,6 +71,7 @@ class Belief:
             raise DomainError("belief support must not contain duplicates")
         for rule in self.support:
             ca.decode_rule(rule)
+        import numpy as np
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape != (len(self.support),):
             raise DomainError("probs must align with support")
@@ -89,10 +88,11 @@ class Belief:
         support = tuple(support)
         if not support:
             raise DomainError("belief support must be non-empty")
-        return cls(support, np.full(len(support), 1.0 / len(support)))
+        return cls(support, [1.0 / len(support)] * len(support))
 
     @classmethod
     def from_weights(cls, support, weights) -> "Belief":
+        import numpy as np
         weights = np.asarray(weights, dtype=float)
         total = float(weights.sum())
         if total <= 0:
@@ -120,6 +120,7 @@ def posterior_update(belief: Belief, t: Transition) -> Belief:
     Raises :class:`InconsistentObservationError` when no supported rule
     predicts the observed next state.
     """
+    import numpy as np
     live = set(live_after(belief.support, t.state, t.action, t.next_state))
     unnormalized = belief.probs * np.array([rule in live for rule in belief.support], dtype=float)
     total = float(unnormalized.sum())
@@ -142,6 +143,7 @@ def _entropy_bits(probs: np.ndarray) -> float:
 
 def _outcome_posteriors(belief: Belief, s: Tape, a: Action):
     """For each possible next tape: its predictive mass and the posterior it induces."""
+    import numpy as np
     groups: dict[int, list[int]] = {}  # predicted next tape -> its rules' indices, in first-prediction order
     predicted = _predict(belief.support, [intervene(s, a).bits], s.length)[:, 0].tolist()
     for idx, (bits, p) in enumerate(zip(predicted, belief.probs)):
@@ -166,12 +168,13 @@ def info_gain_entropy(belief: Belief, s: Tape, a: Action) -> float:
 @functools.cache
 def uniform_entropy(m: int) -> float:
     """Entropy of the uniform belief over ``m`` rules, in bits, exactly as :func:`entropy` computes it."""
-    return _entropy_bits(np.full(m, 1.0 / m))
+    return entropy(Belief.uniform(range(m)))
 
 
 @functools.cache
 def _outcome_term(m: int, n: int) -> float:
     """``mass * H(posterior)`` of an outcome ``n`` of ``m`` equally likely rules predict, as in ``info_gain_entropy``."""
+    import numpy as np
     p = np.full(n, 1.0 / m)
     mass = float(p.sum())
     return mass * _entropy_bits(p / mass)

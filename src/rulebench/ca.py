@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import DomainError
 
 __all__ = [
@@ -98,10 +96,15 @@ class Tape:
 
 # Rule bit k as an all-ones (-1) or all-zeros word: the mask of minterm k = 4*left + 2*center + right.
 _RULE_MASKS = tuple(tuple(-((rule >> k) & 1) for k in range(8)) for rule in range(256))
-# The same masks as uint64 words, minterm k along axis 0 and rule along axis 1, so that
-# ``_WORD_MASKS[:, rule]`` unpacks into the eight masks of an array of rules.
-_WORD_MASKS = np.array(_RULE_MASKS).T.astype(np.uint64)
-_WORD_MASKS.flags.writeable = False
+
+
+@lru_cache(maxsize=None)
+def _word_masks() -> np.ndarray:
+    """``_RULE_MASKS`` as uint64 words, minterm k by rule: ``[:, rule]`` unpacks into an array of rules' 8 masks."""
+    import numpy as np
+    masks = np.array(_RULE_MASKS).T.astype(np.uint64)
+    masks.flags.writeable = False
+    return masks
 
 
 def step_bits(bits, length: int, rule):
@@ -119,7 +122,7 @@ def step_bits(bits, length: int, rule):
         decode_rule(rule)  # range check
         if isinstance(bits, int):  # the env's one-tape step, kept free of the array checks below
             return _step_words(bits, length, _RULE_MASKS[rule])
-    if isinstance(bits, np.ndarray) and length <= TABLE_MAX_LENGTH:
+    if not isinstance(bits, int) and length <= TABLE_MAX_LENGTH:
         try:
             return _table(length)[rule, bits]
         except IndexError:  # a rule above 255, or a tape of more than ``length`` cells
@@ -128,7 +131,7 @@ def step_bits(bits, length: int, rule):
             raise DomainError(f"tape bits out of range for length {length}, got {int(bits.max())}") from None
     if not isinstance(rule, int):
         _check_rule_array(rule)
-    return _step_words(bits, length, _WORD_MASKS[:, rule])
+    return _step_words(bits, length, _word_masks()[:, rule])
 
 
 def _check_rule_array(rule) -> None:
@@ -139,8 +142,9 @@ def _check_rule_array(rule) -> None:
 @lru_cache(maxsize=None)
 def _table(length: int) -> np.ndarray:
     """Every rule's step of every tape of ``length`` cells: entry ``[rule, bits]``, from one expression call."""
+    import numpy as np
     tapes = np.arange(1 << length, dtype=np.uint64)
-    table = _step_words(tapes, length, _WORD_MASKS[:, :, None])
+    table = _step_words(tapes, length, _word_masks()[:, :, None])
     table.flags.writeable = False
     return table
 
@@ -168,6 +172,7 @@ def _step_words(bits, length: int, masks):
 
 def as_words(values) -> np.ndarray:
     """Tapes (or rules) as the ``uint64`` array :func:`step_bits` broadcasts over."""
+    import numpy as np
     return np.array(values, dtype=np.uint64)
 
 

@@ -18,13 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from . import ca
 from .ca import Tape
 from .codec import to_json
 from .errors import AgentError, DomainError
-from .seeding import derive_seed, make_rng
+from .seeding import derive_seed, make_scalar_rng
 
 __all__ = [
     "ACTIONS",
@@ -155,8 +153,10 @@ def match_fraction(bits_a, bits_b, length: int):
     Takes Python ints, or :func:`ca.as_words` arrays (elementwise).
     """
     diff = bits_a ^ bits_b
-    mismatches = diff.bit_count() if isinstance(diff, int) else np.bitwise_count(diff)
-    return (length - mismatches) / length
+    if isinstance(diff, int):
+        return (length - diff.bit_count()) / length
+    import numpy as np  # the array path
+    return (length - np.bitwise_count(diff)) / length
 
 
 def env_step(state: Tape, action: Action, task: TaskSpec, steps_used: int = 0):
@@ -176,11 +176,12 @@ def env_step(state: Tape, action: Action, task: TaskSpec, steps_used: int = 0):
 def make_target(rule: int, length: int, task_seed: int) -> Tape:
     """Default goal generator: settle a random tape under the task's own rule.
 
-    Running the rule for a few steps keeps the goal inside the rule's reachable
-    set. If the orbit collapses to the all-zero tape the goal degenerates, so a
-    uniform nonzero tape is drawn instead.
+    A settled goal is the rule's image of a tape, so some tape steps to it. If
+    the orbit collapses to the all-zero tape the goal degenerates, so a uniform
+    nonzero tape is drawn instead. That tape need not be the image of any tape,
+    and then no episode can reach it (ROADMAP item 15).
     """
-    rng = make_rng(task_seed, "target")
+    rng = make_scalar_rng(task_seed, "target")
     bits = _draw_bits(rng, length)
     for _ in range(TARGET_SETTLE_STEPS):
         bits = ca.step_bits(bits, length, rule)
@@ -190,13 +191,12 @@ def make_target(rule: int, length: int, task_seed: int) -> Tape:
 
 
 def _draw_bits(rng, length: int) -> int:
-    cells = rng.integers(0, 2, size=length)
-    return int(sum(int(c) << i for i, c in enumerate(cells)))
+    return sum(c << i for i, c in enumerate(rng.integers(0, 2, size=length)))
 
 
 def reset(task: TaskSpec, episode_seed: int) -> Tape:
     """Initial tape: uniform over tapes of the task's length, never the goal itself."""
-    rng = make_rng(task.task_seed, episode_seed, "reset")
+    rng = make_scalar_rng(task.task_seed, episode_seed, "reset")
     bits = _draw_bits(rng, task.length)
     while bits == task.target.bits:
         bits = _draw_bits(rng, task.length)

@@ -11,9 +11,10 @@ processes that play them, capped by the CPU count and the number of agent
 configs. With one worker the agents run one after another in this process,
 and the program starts no threads. With more, a process pool forks the
 workers (POSIX only, like the bridge's pipes; forking spares each worker the
-numpy import), and the pool's management thread and task-queue feeder are
-the only threads; a worker is handed its next agent config only when it is
-free. Either way the results are concatenated in agent-name order, so the
+imports: when an agent plans, the run imports ``numpy.random`` before it
+forks), and the pool's management thread and task-queue feeder are the only
+threads; a worker is handed its next agent config only when it is free.
+Either way the results are concatenated in agent-name order, so the
 logs are byte-identical at any ``parallelism``, and an exception other than
 ``AgentError`` in any agent aborts the run: no further agent config starts,
 nothing is renamed into place and the temporary log is removed. Threads
@@ -68,7 +69,7 @@ from types import MappingProxyType
 from typing import Any
 
 from . import __version__
-from .agents import MAX_Q_LENGTH, AgentConfig, make_agent
+from .agents import MAX_Q_LENGTH, PLANNER_KINDS, AgentConfig, make_agent
 from .codec import canonical, from_json, read_json, to_json
 from .env import ACTIONS, EpisodeResult, run_episode
 from .errors import AgentError, ConfigError
@@ -184,8 +185,10 @@ def _played(agents: list[AgentConfig], workers: int, **play):
     from collections import deque
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    # Fork, because a spawned worker imports numpy again (~0.2 s). The pool forks all
-    # its workers before it starts its own threads, and the program has no others.
+    # Fork, because a spawned worker imports everything again (numpy ~0.2 s). The pool forks
+    # all its workers before it starts its own threads, and the program has no others.
+    if any(agent.kind in PLANNER_KINDS for agent in agents):
+        import numpy.random  # noqa: F401  (a planner's first draw would import it in each worker)
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         # A config is handed over only when a worker is free: the pool would queue the rest
         # ahead of its workers, where neither an abort nor cancel() stops them.

@@ -27,7 +27,7 @@ from . import ca
 from .env import TaskSpec, make_target
 from .codec import from_json, read_json, to_json
 from .errors import ConfigError, SplitViolation
-from .seeding import derive_seed, make_rng
+from .seeding import derive_seed, make_scalar_rng
 
 __all__ = [
     "PROTOCOLS",
@@ -123,7 +123,7 @@ def _make_tasks(rules, lengths, horizon, split_seed: int, side: str, count: int)
 
 def make_split(spec: SplitSpec) -> Split:
     """Generate the split's rule sets and task lists. Pure in ``spec``."""
-    shuffled = _fisher_yates(spec.candidate_rules, make_rng(spec.split_seed, "rule-shuffle"))
+    shuffled = _fisher_yates(spec.candidate_rules, make_scalar_rng(spec.split_seed, "rule-shuffle"))
 
     if spec.protocol == "holdout_rule":
         k = round(spec.train_fraction * len(shuffled))

@@ -124,3 +124,46 @@ def test_verify_theory_loads_no_run_machinery():
     code = "from rulebench.cli import main\nassert main(['verify-theory', '--trials', '1']) == 0"
     run_machinery = ("rulebench.harness", "rulebench.agents", "rulebench.splits", "rulebench.report")
     assert heavy_modules_after(code, run_machinery) == []
+
+
+# The paths that make no array, and so must not load numpy: the scalar streams are drawn in pure Python.
+NUMPY = ("numpy",)
+
+
+def test_run_of_array_free_agents_loads_no_numpy(tmp_path):
+    code = (f"from rulebench.cli import main\n"
+            f"assert main(['run', {str(CONFIGS / 'smoke.json')!r}, '--output-dir', {str(tmp_path)!r}]) == 0")
+    assert heavy_modules_after(code, NUMPY) == []
+
+
+def test_bridge_serve_random_loads_no_numpy():
+    from rulebench.bridge import _line
+    from rulebench.codec import to_json
+    from rulebench.ca import Tape
+    from rulebench.env import TaskSpec
+
+    task = TaskSpec(rule=110, length=6, horizon=4, target=Tape.from_string("011010"), task_seed=3)
+    session = (_line("hello") + _line("reset", task=to_json(task), obs="100100", seed=9)
+               + _line("step", obs="110110", reward=0.5, done=False))
+    code = (f"import io, sys\nsys.stdin = io.StringIO({session!r})\nfrom rulebench.cli import main\n"
+            f"assert main(['bridge-serve', 'random']) == 0")
+    assert heavy_modules_after(code, NUMPY) == []
+
+
+def test_verify_split_loads_no_numpy(tmp_path):
+    from rulebench.harness import load_config
+    from rulebench.splits import make_split, save_split_manifest
+
+    manifest = tmp_path / "split.json"
+    save_split_manifest(make_split(load_config(CONFIGS / "desk.json").split), manifest)
+    code = f"from rulebench.cli import main\nassert main(['verify-split', {str(manifest)!r}]) == 0"
+    assert heavy_modules_after(code, NUMPY) == []
+
+
+@pytest.mark.parametrize("config", ["smoke.json", "desk.json", "default.json"])
+def test_setup_path_loads_no_numpy(config):
+    code = (f"import rulebench.cli, rulebench.harness, rulebench.splits\n"
+            f"from rulebench import harness, splits\n"
+            f"split = splits.make_split(harness.load_config({str(CONFIGS / config)!r}).split)\n"
+            f"assert splits.verify_split(split.train_tasks, split.test_tasks, split.spec).ok")
+    assert heavy_modules_after(code, NUMPY) == []
